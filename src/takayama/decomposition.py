@@ -25,9 +25,13 @@ per-group scalars subtract (not add) the mixed moment E[F_h(X^i) q(X^i)].
 Both choices are validated against a Monte Carlo oracle and an independent
 influence-function oracle in the test suite.
 
-Every component has two routes: exact cell-grid sums for empirical
-subgroups (compositions F_h of group quantiles are step functions) and
-adaptive quadrature for analytic subgroups.
+The two partition kinds take different routes.  Analytic subgroups
+evaluate the seven components by adaptive quadrature.  Empirical subgroups
+skip them: each observation x of group h gets the influence value
+a_h(x) = phi_pool(x) - phi_h(x), where phi = g - (B - E B) and B(x) is
+1/n times the sum of q over the sample at and above x.  Then theta1^2 is
+sum_h p_h Var_h(a_h), and the per-group scalars are E_h a_h.  The pooled
+kernels are built once, so the cost is O(n log n) for any K.
 """
 from __future__ import annotations
 
@@ -37,7 +41,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .asymptotics import ConfidenceInterval, KernelSet, bridge_quadratic_step
+from .asymptotics import ConfidenceInterval, KernelSet
 from .distributions import AnalyticDistribution, mixture
 from .errors import NumericalError
 from .indices import takayama_empirical, takayama_population
@@ -198,14 +202,22 @@ def decomposability_gap(part: SubgroupPartition, config: PovertyConfig,
 
 @dataclass(frozen=True)
 class GapVariance:
-    """Theorem-level variance pieces for the decomposability gap."""
-    a1: float
-    a2: float
-    a31: float
-    a32: float
-    b1: float
-    b2: float
-    b3: float
+    """Theorem-level variance pieces for the decomposability gap.
+
+    The seven components a1 ... b3 are filled on the analytic route, which
+    assembles theta1^2 from them.  They are None on the empirical route,
+    which takes theta1^2 as a weighted sum of within-group variances of
+    per-observation influence values, non-negative by construction.  The
+    two routes' per-group scalars may differ by a common shift, which
+    theta2^2 and theta3^2 do not see.
+    """
+    a1: Optional[float]
+    a2: Optional[float]
+    a31: Optional[float]
+    a32: Optional[float]
+    b1: Optional[float]
+    b2: Optional[float]
+    b3: Optional[float]
     theta1_sq: float
     theta2_sq: float
     theta3_sq: float
@@ -213,10 +225,12 @@ class GapVariance:
     mean_scalars: Tuple[float, ...]
 
     def __post_init__(self):
-        assembled = (self.a1 + self.a2 + self.a31 + self.a32
-                     + 2.0 * (self.b1 + self.b2 + self.b3))
-        if abs(assembled - self.theta1_sq) > 1e-9 * max(1.0, abs(assembled)):
-            raise NumericalError("variance assembly inconsistent")
+        components = (self.a1, self.a2, self.a31, self.a32, self.b1, self.b2, self.b3)
+        if None not in components:
+            assembled = (self.a1 + self.a2 + self.a31 + self.a32
+                         + 2.0 * (self.b1 + self.b2 + self.b3))
+            if abs(assembled - self.theta1_sq) > 1e-9 * max(1.0, abs(assembled)):
+                raise NumericalError("variance assembly inconsistent")
         for name, value in (("theta1_sq", self.theta1_sq),
                             ("theta2_sq", self.theta2_sq),
                             ("theta3_sq", self.theta3_sq)):
@@ -236,123 +250,45 @@ class GapVariance:
 
 
 # ---------------------------------------------------------------------------
-# empirical (exact cell-sum) route
+# empirical (influence-vector) route
+
+
+def _influence(kernels: KernelSet):
+    """phi(x) = g(x) - (B(x) - E B) for an empirical binding, where
+    B(x) = (1/n) sum of q(X_k) over X_k >= x is a suffix sum of q over the
+    sorted sample; tied values share one B.  The suffix sums are built once,
+    so an evaluation costs binary searches into the sorted sample only."""
+    x = kernels.source.sorted_values
+    suffix = np.append(np.cumsum(kernels.q(x)[::-1])[::-1], 0.0) / x.size
+
+    def bridge(at: np.ndarray) -> np.ndarray:
+        return suffix[np.searchsorted(x, at, side="left")]
+
+    mean_b = float(bridge(x).mean())
+    return lambda at: kernels.g(at) - (bridge(at) - mean_b)
 
 
 def _empirical_gap_variance(part: SubgroupPartition, config: PovertyConfig,
                             index_functional: IndexFunctional) -> GapVariance:
-    pooled = part.pooled
-    k_glob = KernelSet(pooled, config)
-    groups = part.groups
-    k = len(groups)
-    p = np.array([g.weight for g in groups])
-
-    # Per-group arrays at the group's own order statistics.
-    xs, sizes = [], []
-    d_arrs, w_arrs, c_arrs = [], [], []
-    for grp in groups:
-        xi = grp.dist.sorted_values
-        ki = KernelSet(grp.dist, config)
-        c = k_glob.q(xi)
-        d_arrs.append(k_glob.g(xi) - ki.g(xi))
-        w_arrs.append(grp.weight * c - ki.q(xi))
-        c_arrs.append(c)
-        xs.append(xi)
-        sizes.append(grp.dist.size)
-
-    a1 = float(np.dot(p, [d.var() for d in d_arrs]))
-    a2 = float(np.dot(p, [bridge_quadratic_step(w) for w in w_arrs]))
-
-    def group_cdf_at(h: int, values: np.ndarray) -> np.ndarray:
-        return np.searchsorted(xs[h], values, side="right") / sizes[h]
-
-    a31 = 0.0
-    for i in range(k):
-        ci, ni = c_arrs[i], sizes[i]
-        suffix = np.concatenate([np.cumsum(ci[::-1])[::-1][1:], [0.0]])
-        for h in range(k):
-            if h == i:
-                continue
-            a = group_cdf_at(h, xs[i])
-            quad_form = (np.dot(a * ci, ci) + 2.0 * np.dot(a * ci, suffix)) / ni ** 2
-            a31 += p[i] ** 2 * p[h] * (quad_form - (np.dot(ci, a) / ni) ** 2)
-
-    a32 = 0.0
-    for i in range(k):
-        for j in range(k):
-            if j == i:
-                continue
-            ci, cj = c_arrs[i], c_arrs[j]
-            ni, nj = sizes[i], sizes[j]
-            for h in range(k):
-                if h in (i, j):
-                    continue
-                a = group_cdf_at(h, xs[i])
-                b = group_cdf_at(h, xs[j])
-                cb_prefix = np.concatenate([[0.0], np.cumsum(cj * b)])
-                c_prefix = np.concatenate([[0.0], np.cumsum(cj)])
-                pos = np.searchsorted(b, a, side="right")
-                mixed = cb_prefix[pos] + a * (c_prefix[-1] - c_prefix[pos])
-                cross = float(np.dot(ci, mixed)) / (ni * nj)
-                a32 += (p[i] * p[j] * p[h]
-                        * (cross - (np.dot(ci, a) / ni) * (np.dot(cj, b) / nj)))
-
-    # B terms share per-group prefix machinery for D_i(s) = int_0^s d_i(Q_i).
-    def cell_integral_of_s(n: int) -> np.ndarray:
-        j = np.arange(1, n + 1, dtype=float)
-        return (2.0 * j - 1.0) / (2.0 * n * n)
-
-    b1 = 0.0
-    for i in range(k):
-        d, w_vals, ni = d_arrs[i], w_arrs[i], sizes[i]
-        total = float(d.mean())
-        cum_prev = (np.cumsum(d) - d) / ni
-        lo = np.arange(ni, dtype=float) / ni
-        cell_s = cell_integral_of_s(ni)
-        bracket = (cum_prev - lo * d) / ni + (d - total) * cell_s
-        b1 -= p[i] * float(np.dot(w_vals, bracket))
-
-    b2 = 0.0
-    b3 = 0.0
-    for i in range(k):
-        w_vals, d, ni = w_arrs[i], d_arrs[i], sizes[i]
-        cell_s = cell_integral_of_s(ni)
-        w_cell_prefix = np.concatenate([[0.0], np.cumsum(w_vals * cell_s)])
-        w_prefix = np.concatenate([[0.0], np.cumsum(w_vals)])
-        w_cell_total = w_cell_prefix[-1]
-        w_total = w_prefix[-1]
-        d_prefix = np.concatenate([[0.0], np.cumsum(d)]) / ni
-        total_i = float(d.mean())
-        for j in range(k):
-            if j == i:
-                continue
-            cj, nj = c_arrs[j], sizes[j]
-            counts = np.searchsorted(xs[i], xs[j], side="right")
-            frac = counts / ni
-            # W_i(b) at grid points b = counts / n_i, in closed form.
-            w_at = (w_cell_prefix[counts]
-                    + frac * (w_total - w_prefix[counts]) / ni
-                    - frac * w_cell_total)
-            b2 += p[i] * p[j] * float(np.dot(cj, w_at)) / nj
-            bracket = d_prefix[counts] - frac * total_i
-            b3 -= p[i] * p[j] * float(np.dot(cj, bracket)) / nj
-
-    theta1 = a1 + a2 + a31 + a32 + 2.0 * (b1 + b2 + b3)
-
+    # For x in group h the gap's influence is a_h(x) - (T_h - sum_i p_i T_i)
+    # with a_h = phi_pool - phi_h; theta1^2 is its within-group part.
+    phi_pool = _influence(KernelSet(part.pooled, config))
+    p = part.weights
+    theta1 = 0.0
     mean_scalars = []
     gap_scalars = []
-    for h in range(k):
-        e_g = float(k_glob.g(xs[h]).mean())
-        mixed_moment = 0.0
-        for i in range(k):
-            mixed_moment += p[i] * float(np.mean(group_cdf_at(h, xs[i]) * c_arrs[i]))
-        m_h = e_g - mixed_moment
+    for weight, grp in zip(p, part.groups):
+        x = grp.dist.sorted_values
+        a = phi_pool(x) - _influence(KernelSet(grp.dist, config))(x)
+        theta1 += weight * float(a.var())
+        m_h = float(a.mean())
         mean_scalars.append(m_h)
-        gap_scalars.append(m_h - index_functional(groups[h].dist))
+        gap_scalars.append(m_h - index_functional(grp.dist))
 
     theta2 = _weighted_variance(gap_scalars, p)
     theta3 = _weighted_variance(mean_scalars, p)
-    return GapVariance(a1, a2, a31, a32, b1, b2, b3, theta1, theta2, theta3,
+    return GapVariance(None, None, None, None, None, None, None,
+                       theta1, theta2, theta3,
                        tuple(gap_scalars), tuple(mean_scalars))
 
 
@@ -539,7 +475,9 @@ def _analytic_cross_bridge(c_i, c_j, phi_i, phi_j, crossing, hi_i, hi_j,
 def gap_variance(part: SubgroupPartition, config: PovertyConfig,
                  quad: QuadratureSettings = DEFAULT_QUADRATURE,
                  index_functional: Optional[IndexFunctional] = None) -> GapVariance:
-    """All seven within/cross components and the three assembled thetas.
+    """The three thetas, with the seven within/cross components on the
+    analytic route (None on the empirical route, where theta1^2 >= 0 by
+    construction).
 
     index_functional maps a subgroup distribution to the scalar the gap
     scalars subtract; the default is the Takayama index itself (empirical

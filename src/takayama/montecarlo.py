@@ -83,7 +83,7 @@ def draw_mixture_sample(model: MixtureModel, n: int,
         mask = idx == i
         if mask.any():
             values[mask] = comp.quantile(u[mask])
-    labels = idx.astype(str).astype(object)
+    labels = np.array([str(i) for i in range(len(model.components))], dtype=object)[idx]
     return IncomeSample(values, group_labels=labels)
 
 

@@ -35,8 +35,9 @@ class PovertyConfig:
     strict_comparison: bool = False
 
     def __post_init__(self):
-        if not self.poverty_line > 0:
-            raise ValueError(f"poverty line must be positive, got {self.poverty_line}")
+        if not 0 < self.poverty_line < math.inf:
+            raise ValueError(
+                f"poverty line must be positive and finite, got {self.poverty_line}")
         if not 0.0 < self.confidence_level < 1.0:
             raise ValueError(
                 f"confidence level must lie in (0, 1), got {self.confidence_level}")
@@ -59,6 +60,8 @@ class IncomeSample:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1:
             raise ValueError("income values must be one-dimensional")
+        if not np.isfinite(values).all():
+            raise ValueError("incomes must be finite")
         if values.size and values.min() < 0:
             raise ValueError("incomes must be non-negative")
         object.__setattr__(self, "values", _readonly(values))
@@ -73,6 +76,8 @@ class IncomeSample:
             div = np.asarray(self.equivalence_divisors, dtype=float)
             if div.shape != values.shape:
                 raise ValueError("equivalence divisors must match the number of incomes")
+            if not np.isfinite(div).all():
+                raise ValueError("equivalence divisors must be finite")
             if div.size and div.min() <= 0:
                 raise ValueError("equivalence divisors must be positive")
             object.__setattr__(self, "equivalence_divisors", _readonly(div))

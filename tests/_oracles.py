@@ -2,17 +2,20 @@
 
 These deliberately avoid the library's closed-form assembly paths: the gap
 variance oracle works from first-principles influence functions of the
-two-stage sampling scheme, and the brute-force helpers recompute grid sums
-term by term.
+two-stage sampling scheme, the brute-force helpers recompute grid sums
+and influence values term by term, and the cell-sum gap variance evaluates
+the seven A/B components of an empirical partition over quantile cells.
 """
 from __future__ import annotations
 
 import numpy as np
 from scipy.integrate import quad
 
-from takayama.asymptotics import KernelSet
-from takayama.indices import takayama_population
+from takayama.asymptotics import KernelSet, bridge_quadratic_step
+from takayama.decomposition import GapVariance, _weighted_variance
+from takayama.indices import takayama_empirical, takayama_population
 from takayama.quadrature import QuadratureSettings
+from takayama.samples import IncomeSample, build_empirical
 
 
 def bisection_normal_quantile(p: float, tol: float = 1e-12) -> float:
@@ -110,3 +113,177 @@ def gap_variance_influence_oracle(groups, weights, config,
         return second - first ** 2
 
     return moments(True), moments(False)
+
+
+def cell_sum_gap_variance_oracle(part, config, index_functional=None) -> GapVariance:
+    """The seven A/B components and three thetas of an empirical partition,
+    each integral summed exactly over quantile cells (O(K^3 n) loops).
+
+    The cell convention differs from the library's per-observation
+    influence vectors by O(1/n_i) per group; theta2^2 and theta3^2 use the
+    same per-group scalars up to a common shift, which their weighted
+    variance ignores.
+    """
+    if index_functional is None:
+        def index_functional(dist):
+            return takayama_empirical(dist, config).value
+    pooled = part.pooled
+    k_glob = KernelSet(pooled, config)
+    groups = part.groups
+    k = len(groups)
+    p = np.array([g.weight for g in groups])
+
+    # Per-group arrays at the group's own order statistics.
+    xs, sizes = [], []
+    d_arrs, w_arrs, c_arrs = [], [], []
+    for grp in groups:
+        xi = grp.dist.sorted_values
+        ki = KernelSet(grp.dist, config)
+        c = k_glob.q(xi)
+        d_arrs.append(k_glob.g(xi) - ki.g(xi))
+        w_arrs.append(grp.weight * c - ki.q(xi))
+        c_arrs.append(c)
+        xs.append(xi)
+        sizes.append(grp.dist.size)
+
+    a1 = float(np.dot(p, [d.var() for d in d_arrs]))
+    a2 = float(np.dot(p, [bridge_quadratic_step(w) for w in w_arrs]))
+
+    def group_cdf_at(h: int, values: np.ndarray) -> np.ndarray:
+        return np.searchsorted(xs[h], values, side="right") / sizes[h]
+
+    a31 = 0.0
+    for i in range(k):
+        ci, ni = c_arrs[i], sizes[i]
+        suffix = np.concatenate([np.cumsum(ci[::-1])[::-1][1:], [0.0]])
+        for h in range(k):
+            if h == i:
+                continue
+            a = group_cdf_at(h, xs[i])
+            quad_form = (np.dot(a * ci, ci) + 2.0 * np.dot(a * ci, suffix)) / ni ** 2
+            a31 += p[i] ** 2 * p[h] * (quad_form - (np.dot(ci, a) / ni) ** 2)
+
+    a32 = 0.0
+    for i in range(k):
+        for j in range(k):
+            if j == i:
+                continue
+            ci, cj = c_arrs[i], c_arrs[j]
+            ni, nj = sizes[i], sizes[j]
+            for h in range(k):
+                if h in (i, j):
+                    continue
+                a = group_cdf_at(h, xs[i])
+                b = group_cdf_at(h, xs[j])
+                cb_prefix = np.concatenate([[0.0], np.cumsum(cj * b)])
+                c_prefix = np.concatenate([[0.0], np.cumsum(cj)])
+                pos = np.searchsorted(b, a, side="right")
+                mixed = cb_prefix[pos] + a * (c_prefix[-1] - c_prefix[pos])
+                cross = float(np.dot(ci, mixed)) / (ni * nj)
+                a32 += (p[i] * p[j] * p[h]
+                        * (cross - (np.dot(ci, a) / ni) * (np.dot(cj, b) / nj)))
+
+    # B terms share per-group prefix machinery for D_i(s) = int_0^s d_i(Q_i).
+    def cell_integral_of_s(n: int) -> np.ndarray:
+        j = np.arange(1, n + 1, dtype=float)
+        return (2.0 * j - 1.0) / (2.0 * n * n)
+
+    b1 = 0.0
+    for i in range(k):
+        d, w_vals, ni = d_arrs[i], w_arrs[i], sizes[i]
+        total = float(d.mean())
+        cum_prev = (np.cumsum(d) - d) / ni
+        lo = np.arange(ni, dtype=float) / ni
+        cell_s = cell_integral_of_s(ni)
+        bracket = (cum_prev - lo * d) / ni + (d - total) * cell_s
+        b1 -= p[i] * float(np.dot(w_vals, bracket))
+
+    b2 = 0.0
+    b3 = 0.0
+    for i in range(k):
+        w_vals, d, ni = w_arrs[i], d_arrs[i], sizes[i]
+        cell_s = cell_integral_of_s(ni)
+        w_cell_prefix = np.concatenate([[0.0], np.cumsum(w_vals * cell_s)])
+        w_prefix = np.concatenate([[0.0], np.cumsum(w_vals)])
+        w_cell_total = w_cell_prefix[-1]
+        w_total = w_prefix[-1]
+        d_prefix = np.concatenate([[0.0], np.cumsum(d)]) / ni
+        total_i = float(d.mean())
+        for j in range(k):
+            if j == i:
+                continue
+            cj, nj = c_arrs[j], sizes[j]
+            counts = np.searchsorted(xs[i], xs[j], side="right")
+            frac = counts / ni
+            # W_i(b) at grid points b = counts / n_i, in closed form.
+            w_at = (w_cell_prefix[counts]
+                    + frac * (w_total - w_prefix[counts]) / ni
+                    - frac * w_cell_total)
+            b2 += p[i] * p[j] * float(np.dot(cj, w_at)) / nj
+            bracket = d_prefix[counts] - frac * total_i
+            b3 -= p[i] * p[j] * float(np.dot(cj, bracket)) / nj
+
+    theta1 = a1 + a2 + a31 + a32 + 2.0 * (b1 + b2 + b3)
+
+    mean_scalars = []
+    gap_scalars = []
+    for h in range(k):
+        e_g = float(k_glob.g(xs[h]).mean())
+        mixed_moment = 0.0
+        for i in range(k):
+            mixed_moment += p[i] * float(np.mean(group_cdf_at(h, xs[i]) * c_arrs[i]))
+        m_h = e_g - mixed_moment
+        mean_scalars.append(m_h)
+        gap_scalars.append(m_h - index_functional(groups[h].dist))
+
+    theta2 = _weighted_variance(gap_scalars, p)
+    theta3 = _weighted_variance(mean_scalars, p)
+    return GapVariance(a1, a2, a31, a32, b1, b2, b3, theta1, theta2, theta3,
+                       tuple(gap_scalars), tuple(mean_scalars))
+
+
+def brute_force_gap_thetas(values, labels, config):
+    """(theta1^2, theta2^2, theta3^2) of an empirical partition from the
+    influence value of each observation, every sum written out over all
+    pairs (O(n^2); small samples only).
+
+    For x in group h, a_h(x) = phi_pool(x) - phi_h(x) with
+    phi(x) = g(x) - (B(x) - mean B), g(x) = 2 (P(h) x / mu^2 - h(x) / mu),
+    h(x) = x (1 - F_n(x)) 1{x poor} and B(x) = (1/n) sum over X_k >= x of
+    q(X_k) = -2 X_k 1{X_k poor} / mu.  Then theta1^2 = sum_h p_h Var_h a_h,
+    and theta2^2 / theta3^2 are the weighted variances of E_h a_h - T_h and
+    E_h a_h.
+    """
+    values = np.asarray(values, dtype=float)
+    labels = np.asarray(labels, dtype=object)
+    line = config.poverty_line
+
+    def poor(v):
+        return v < line if config.strict_comparison else v <= line
+
+    def phi(sample, at):
+        mu = sample.mean()
+        below = sample[None, :] <= at[:, None]
+        h_at = at * (1.0 - below.mean(axis=1)) * poor(at)
+        p_h = np.mean(sample * (1.0 - (sample[None, :] <= sample[:, None]).mean(axis=1))
+                      * poor(sample))
+        q = -2.0 * sample * poor(sample) / mu
+        b_at = ((sample[None, :] >= at[:, None]) * q).sum(axis=1) / sample.size
+        b_mean = ((sample[None, :] >= sample[:, None]) * q).sum(axis=1).mean() / sample.size
+        return 2.0 * (p_h * at / mu ** 2 - h_at / mu) - (b_at - b_mean)
+
+    weights, within, means, local = [], [], [], []
+    for lab in dict.fromkeys(labels.tolist()):
+        member = values[labels == lab]
+        a = phi(values, member) - phi(member, member)
+        weights.append(member.size / values.size)
+        within.append(a.var())
+        means.append(a.mean())
+        local.append(takayama_empirical(build_empirical(IncomeSample(member)), config).value)
+    weights, means = np.array(weights), np.array(means)
+
+    def weighted_var(v):
+        return float(np.dot(weights, (v - np.dot(weights, v)) ** 2))
+
+    return (float(np.dot(weights, within)), weighted_var(means - np.array(local)),
+            weighted_var(means))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from takayama import (ConfidenceInterval, GapVariance, IncomeSample,
+from takayama import (ConfidenceInterval, GapVariance, IncomeSample, KernelSet,
                       NumericalError, PovertyConfig, QuadratureSettings,
                       Subgroup, analytic_partition, build_empirical,
                       decomposability_gap, draw_mixture_sample,
@@ -13,7 +13,8 @@ from takayama import (ConfidenceInterval, GapVariance, IncomeSample,
                       lognormal, partition, recompose_global,
                       recompose_interval, uniform, MixtureModel)
 
-from _oracles import gap_variance_influence_oracle
+from _oracles import (brute_force_gap_thetas, cell_sum_gap_variance_oracle,
+                      gap_variance_influence_oracle)
 
 CFG1 = PovertyConfig(1.0)
 
@@ -137,10 +138,15 @@ def _flat(gv: GapVariance):
             gv.theta1_sq, gv.theta2_sq, gv.theta3_sq)
 
 
+def _thetas(gv: GapVariance):
+    return (gv.theta1_sq, gv.theta2_sq, gv.theta3_sq)
+
+
 def test_gap_variance_single_group_all_zero_empirical(rng):
     labels = np.array(["g"] * 150, dtype=object)
     part = partition(IncomeSample(rng.random(150), group_labels=labels))
-    assert all(abs(v) < 1e-12 for v in _flat(gap_variance(part, CFG1)))
+    assert all(abs(v) < 1e-12 for v in _thetas(gap_variance(part, CFG1)))
+    assert all(abs(v) < 1e-12 for v in _flat(cell_sum_gap_variance_oracle(part, CFG1)))
 
 
 def test_gap_variance_single_group_all_zero_analytic():
@@ -225,6 +231,94 @@ def test_empirical_gap_variance_consistent_with_analytic(rng):
     ana = gap_variance(model.to_partition(), CFG1)
     assert emp.gap_centered_total == pytest.approx(ana.gap_centered_total, rel=0.10)
     assert emp.theta1_sq == pytest.approx(ana.theta1_sq, rel=0.10)
+
+
+@pytest.mark.parametrize("k", [2, 3, 8])
+def test_empirical_gap_variance_matches_cell_sum_oracle(k):
+    """Influence vectors against the exact cell sums on continuous data.
+
+    Within group i the library averages a_i over n_i atoms, while the oracle
+    integrates over n_i quantile cells, inside which the bridge term moves by
+    at most one step of q / n_i.  The group's variance therefore differs by
+    O(1/n_i) on the scale of the kernels, which is the scale of the gap
+    variance v, and the group enters with weight n_i / n: it adds O(v / n).
+    Summed over K groups the difference is K v / n up to a constant, taken
+    as 2 (the observed differences stay below a tenth of 2 K v / n).
+    """
+    rng = np.random.default_rng(100 + k)
+    n = 3000
+    values = rng.lognormal(0.0, 0.8, n) * rng.choice([0.6, 1.0, 1.5], n)
+    labels = rng.integers(0, k, n).astype(str).astype(object)
+    part = partition(IncomeSample(values, group_labels=labels))
+    gv = gap_variance(part, CFG1)
+    oracle = cell_sum_gap_variance_oracle(part, CFG1)
+    for ours, theirs in ((gv.gap_centered_total, oracle.gap_centered_total),
+                         (gv.mixed_centered_total, oracle.mixed_centered_total)):
+        assert abs(ours - theirs) <= 2.0 * k * theirs / n
+    assert abs(gv.theta1_sq - oracle.theta1_sq) <= 2.0 * k * oracle.gap_centered_total / n
+
+
+_EDGE_CASES = {
+    "singleton group": ([0.3, 0.9, 1.4, 2.2, 0.5, 1.1, 0.7], list("aabbbbc"), CFG1),
+    "group with no poor": ([0.2, 0.6, 1.3, 0.9, 2.0, 3.5, 4.0, 5.5],
+                           list("aaaabbbb"), CFG1),
+    "all-tied group and zeros": ([0.0, 0.0, 0.4, 1.2, 0.8, 0.8, 0.8, 0.8, 2.5, 0.0],
+                                 list("aaaabbbbaa"), CFG1),
+    "strict comparison": ([0.5, 1.0, 1.0, 2.0, 1.0, 0.25, 3.0, 1.0],
+                          list("ababcabc"), PovertyConfig(1.0, strict_comparison=True)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EDGE_CASES))
+def test_empirical_gap_variance_matches_brute_force_edge_cases(case):
+    values, labels, config = _EDGE_CASES[case]
+    sample = IncomeSample(values, group_labels=np.array(labels, dtype=object))
+    gv = gap_variance(partition(sample), config)
+    expected = brute_force_gap_thetas(values, labels, config)
+    assert _thetas(gv) == pytest.approx(expected, rel=1e-10, abs=1e-14)
+    assert gv.theta1_sq >= 0.0
+
+
+@pytest.mark.parametrize("k", [4, 16])
+def test_empirical_gap_variance_work_is_linear_in_k(k, monkeypatch):
+    # Guards the O(n log n) route by counting calls: K + 1 kernel sets (the
+    # pooled one built once, not once per group) and a fixed number of
+    # binary searches per kernel set, where loops over pairs or triples of
+    # groups would need thousands at K = 16.
+    built, searches = [], []
+    original_init = KernelSet.__init__
+    original_search = np.searchsorted
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args[0])
+        original_init(self, *args, **kwargs)
+
+    def counting_search(*args, **kwargs):
+        searches.append(1)
+        return original_search(*args, **kwargs)
+
+    rng = np.random.default_rng(k)
+    labels = np.arange(400) % k
+    sample = IncomeSample(rng.lognormal(0.0, 0.8, 400),
+                          group_labels=labels.astype(str).astype(object))
+    part = partition(sample)
+    monkeypatch.setattr(KernelSet, "__init__", counting_init)
+    monkeypatch.setattr(np, "searchsorted", counting_search)
+    gap_variance(part, CFG1)
+    assert len(built) == k + 1
+    assert sum(source is part.pooled for source in built) == 1
+    assert len(searches) <= 10 * (k + 1)
+
+
+def test_gap_scalar_hook_empirical(rng):
+    labels = rng.choice(np.array(["a", "b", "c"], dtype=object), 300)
+    part = partition(IncomeSample(rng.lognormal(0.0, 0.8, 300), group_labels=labels))
+    default = gap_variance(part, CFG1)
+    hooked = gap_variance(part, CFG1, index_functional=lambda dist: 0.0)
+    assert hooked.mean_scalars == default.mean_scalars
+    assert hooked.gap_scalars == hooked.mean_scalars
+    assert hooked.theta2_sq == hooked.theta3_sq == default.theta3_sq
+    assert hooked.theta1_sq == default.theta1_sq
 
 
 def test_gap_scalar_hook():

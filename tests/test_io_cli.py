@@ -176,6 +176,10 @@ def test_cli_bad_row_is_data_error(tmp_path):
     assert cli_dispatch(["index", "--input", str(path), "--poverty-line", "2"]) == 2
 
 
+def test_cli_infinite_poverty_line_is_data_error(survey_csv):
+    assert cli_dispatch(["index", "--input", survey_csv, "--poverty-line", "inf"]) == 2
+
+
 def test_cli_degenerate_sample_is_numerical_failure(tmp_path):
     path = tmp_path / "zeros.csv"
     path.write_text("income\n0\n0\n", encoding="utf-8")

@@ -52,6 +52,18 @@ def test_income_sample_validation():
         IncomeSample([1.0, 2.0], group_labels=["a"])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_income_sample_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError, match="finite"):
+        IncomeSample([1.0, bad, 2.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_income_sample_rejects_non_finite_divisors(bad):
+    with pytest.raises(ValueError, match="finite"):
+        IncomeSample([1.0, 2.0], equivalence_divisors=[1.0, bad])
+
+
 def test_empirical_cdf_step_values():
     dist = empirical_distribution_from_values([1.0, 2.0, 3.0])
     assert empirical_cdf(dist, 2.0) == pytest.approx(2 / 3)
@@ -125,6 +137,11 @@ def test_poverty_config_validation():
         PovertyConfig(0.0)
     with pytest.raises(ValueError):
         PovertyConfig(1.0, confidence_level=1.0)
+
+
+def test_poverty_config_rejects_infinite_line():
+    with pytest.raises(ValueError, match="finite"):
+        PovertyConfig(math.inf)
 
 
 def test_standardize_degenerate():
