@@ -39,7 +39,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .distributions import AnalyticDistribution
+from .distributions import AnalyticDistribution, require_finite_second_moment
 from .errors import NumericalError
 from .indices import takayama_empirical, takayama_population
 from .normal import normal_quantile
@@ -268,6 +268,7 @@ def sigma_analytic(dist: AnalyticDistribution, config: PovertyConfig,
     inner tolerance.  Needs E X^2 < infinity (closed form when the
     distribution carries one, tail quadrature otherwise).
     """
+    require_finite_second_moment(dist)
     kernels = KernelSet(dist, config, quad)
     s_z = kernels.s_poor
     if s_z <= 0.0:

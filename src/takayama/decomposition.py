@@ -107,27 +107,28 @@ def partition(sample: IncomeSample) -> SubgroupPartition:
     """Split a labelled sample into per-group empirical distributions.
 
     Groups keep first-appearance order; weights are n_i / n.  Equivalence
-    scaling is applied once, before splitting.
+    scaling is applied once, before splitting.  One pass codes the labels
+    and one stable sort splits the values, so the cost does not grow with K.
     """
     if sample.group_labels is None:
         raise ValueError("sample carries no group labels")
     if sample.size == 0:
         raise ValueError("empty sample")
     values = sample.scaled_values()
-    labels = sample.group_labels
-    order: dict = {}
-    for lab in labels:
-        if lab not in order:
-            order[lab] = len(order)
+    codes: dict = {}
+    group_of = np.fromiter((codes.setdefault(lab, len(codes))
+                            for lab in sample.group_labels.tolist()),
+                           dtype=np.intp, count=sample.size)
+    for lab in codes:
+        if not lab == lab:  # a NaN label matches no observation
+            raise ValueError(f"empty group {lab!r}")
+    sizes = np.bincount(group_of, minlength=len(codes))
+    members = np.split(values[np.argsort(group_of, kind="stable")], np.cumsum(sizes)[:-1])
     n = sample.size
     groups = []
-    for lab in order:
-        member_values = values[labels == lab]
-        if member_values.size == 0:
-            raise ValueError(f"empty group {lab!r}")
+    for lab, size, member_values in zip(codes, sizes.tolist(), members):
         dist = build_empirical(IncomeSample(member_values))
-        groups.append(Subgroup(str(lab), dist, member_values.size / n,
-                               int(member_values.size)))
+        groups.append(Subgroup(str(lab), dist, size / n, size))
     pooled = build_empirical(IncomeSample(values))
     return SubgroupPartition(tuple(groups), pooled)
 
@@ -293,9 +294,10 @@ def _empirical_gap_variance(part: SubgroupPartition, config: PovertyConfig,
 
 
 def _weighted_variance(values: Sequence[float], weights: np.ndarray) -> float:
-    values = np.asarray(values, dtype=float)
-    mean = float(np.dot(weights, values))
-    return float(np.dot(weights, values * values) - mean * mean)
+    """sum_h p_h (v_h - vbar)^2, centred first: E[v^2] - vbar^2 cancels when
+    the values are large next to their spread."""
+    deviations = np.asarray(values, dtype=float) - float(np.dot(weights, values))
+    return float(np.dot(weights, deviations * deviations))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Shipped families: uniform, exponential, lognormal, Pareto, and finite
 mixtures.  Every family exposes an increasing CDF together with its exact
 inverse, so population functionals can be evaluated by quadrature in
-quantile space without densities.
+quantile space without densities.  scipy is imported by the factories that
+need it (lognormal, mixture), not with this module.
 """
 from __future__ import annotations
 
@@ -12,8 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import erf, erfinv
 
 
 @dataclass(frozen=True, eq=False)
@@ -21,8 +20,9 @@ class AnalyticDistribution:
     """A distribution given by its CDF, exact quantile function, and mean.
 
     support is the closed interval carrying all mass (upper end may be
-    inf).  second_moment is E[X^2] when known in closed form; population
-    variance formulas fall back to quadrature when it is None.
+    inf).  second_moment is E[X^2] when known in closed form (inf when it
+    diverges); population variance formulas fall back to quadrature when it
+    is None.
     """
     cdf: Callable[[np.ndarray], np.ndarray]
     quantile: Callable[[np.ndarray], np.ndarray]
@@ -71,6 +71,7 @@ def exponential(rate: float) -> AnalyticDistribution:
 def lognormal(mu: float, sigma: float) -> AnalyticDistribution:
     if not sigma > 0:
         raise ValueError(f"lognormal sigma must be positive, got {sigma}")
+    from scipy.special import erf, erfinv
     root2 = math.sqrt(2.0)
 
     def cdf(x):
@@ -91,7 +92,8 @@ def lognormal(mu: float, sigma: float) -> AnalyticDistribution:
 
 def pareto(scale: float, shape: float) -> AnalyticDistribution:
     """Pareto with lower endpoint `scale` and tail index `shape` (> 1 so the
-    mean exists; the second moment requires shape > 2)."""
+    mean exists; the second moment is finite only for shape > 2, and is
+    recorded as inf otherwise)."""
     if not scale > 0:
         raise ValueError(f"pareto scale must be positive, got {scale}")
     if not shape > 1:
@@ -105,7 +107,7 @@ def pareto(scale: float, shape: float) -> AnalyticDistribution:
         s = np.asarray(s, dtype=float)
         return scale * (1.0 - s) ** (-1.0 / shape)
 
-    m2 = shape * scale * scale / (shape - 2.0) if shape > 2 else None
+    m2 = shape * scale * scale / (shape - 2.0) if shape > 2 else math.inf
     return AnalyticDistribution(cdf, quantile, shape * scale / (shape - 1.0),
                                 f"pareto({scale:g},{shape:g})",
                                 support=(scale, math.inf), second_moment=m2)
@@ -123,6 +125,7 @@ def mixture(components: Sequence[AnalyticDistribution],
         raise ValueError("mixture weights must be positive")
     if abs(w.sum() - 1.0) > 1e-12:
         raise ValueError(f"mixture weights must sum to 1, got {w.sum()!r}")
+    from scipy.optimize import brentq
 
     def cdf(x):
         x = np.asarray(x, dtype=float)
@@ -155,6 +158,14 @@ def mixture(components: Sequence[AnalyticDistribution],
                                 second_moment=m2)
 
 
+def require_finite_second_moment(dist: AnalyticDistribution) -> None:
+    """Refuse a law with E X^2 = inf: the index's limiting variance, and
+    every interval built on it, needs a finite second moment."""
+    if dist.second_moment == math.inf:
+        raise ValueError(f"{dist.identifier} has an infinite second moment; "
+                         "the index variance needs E X^2 < inf")
+
+
 _FAMILIES = {
     "uniform": (uniform, 2),
     "exponential": (exponential, 1),
@@ -182,5 +193,5 @@ def parse_distribution(spec: str) -> AnalyticDistribution:
 
 __all__ = [
     "AnalyticDistribution", "uniform", "exponential", "lognormal", "pareto",
-    "mixture", "parse_distribution",
+    "mixture", "parse_distribution", "require_finite_second_moment",
 ]

@@ -1,7 +1,11 @@
 """CSV ingestion of survey microdata and report emission.
 
 One fixed CSV dialect: comma-separated, UTF-8, mandatory header row,
-'.' decimal separator.  Reports serialize deterministically to text
+'.' decimal separator.  Fields may be quoted with '"' (holding commas,
+doubled quotes or line breaks); whitespace around a value is ignored;
+blank lines are skipped and do not count as rows; no line is a comment.
+Ingest parses the needed columns in one np.loadtxt pass and validates them
+with array masks.  Reports serialize deterministically to text
 (indices as percentages, two decimals), JSON (full precision), or tidy CSV
 (one row per group / replicate).
 """
@@ -10,6 +14,7 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
+import warnings
 from dataclasses import dataclass, fields
 from typing import Mapping, Optional, Sequence
 
@@ -78,17 +83,17 @@ def ingest_csv(path: str, config: RunConfig) -> IncomeSample:
     The income column is required.  Adult-equivalence divisors are applied
     when the (configurable) column is present; group labels are attached
     when config.group_column is set.  Errors carry the offending column
-    name or 1-based data-row number.
+    name or 1-based data-row number; the first offending row is reported,
+    and within a row income is checked before the label and the divisor.
     """
     try:
         handle = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise DataFormatError(f"cannot open {path}: {exc}") from exc
     with handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
+        header = next(csv.reader(handle), None)
+        if header is None:
             raise DataFormatError(f"{path}: empty file")
-        header = list(reader.fieldnames)
 
         if config.income_column not in header:
             raise DataFormatError(f"missing column: {config.income_column}")
@@ -100,38 +105,87 @@ def ingest_csv(path: str, config: RunConfig) -> IncomeSample:
         if equiv_column is None and "adult_equiv" in header:
             equiv_column = "adult_equiv"
 
-        incomes, labels, divisors = [], [], []
-        for row_number, row in enumerate(reader, start=1):
-            raw = (row.get(config.income_column) or "").strip()
-            try:
-                income = float(raw)
-            except ValueError:
-                raise DataFormatError(f"row {row_number}: income not numeric") from None
-            if not np.isfinite(income) or income < 0:
-                raise DataFormatError(f"row {row_number}: income must be a non-negative number")
-            incomes.append(income)
-            if config.group_column is not None:
-                label = (row.get(config.group_column) or "").strip()
-                if not label:
-                    raise DataFormatError(f"row {row_number}: empty group label")
-                labels.append(label)
-            if equiv_column is not None:
-                raw_div = (row.get(equiv_column) or "").strip()
-                try:
-                    divisor = float(raw_div)
-                except ValueError:
-                    raise DataFormatError(
-                        f"row {row_number}: {equiv_column} not numeric") from None
-                if not np.isfinite(divisor) or divisor <= 0:
-                    raise DataFormatError(f"row {row_number}: {equiv_column} must be positive")
-                divisors.append(divisor)
+        names = [config.income_column, config.group_column, equiv_column]
+        # A repeated header name maps to its last column, as in a dict row.
+        usecols = [len(header) - 1 - header[::-1].index(name)
+                   for name in names if name is not None]
+        columns = _read_columns(handle, usecols)
 
-    if not incomes:
+    if columns.shape[0] == 0:
         raise DataFormatError(f"{path}: no data rows")
-    return IncomeSample(
-        np.asarray(incomes, dtype=float),
-        group_labels=np.asarray(labels, dtype=object) if labels else None,
-        equivalence_divisors=np.asarray(divisors, dtype=float) if divisors else None)
+    # (row index, check order, message) per check; the least one is raised.
+    # Entries that fail to parse read as NaN, so at that row the range
+    # check also fires, and its later check order lets the parse error win.
+    errors = []
+    incomes, bad = _parse_floats(columns[:, 0])
+    errors.append((bad, 0, "income not numeric"))
+    errors.append((_first(~np.isfinite(incomes) | (incomes < 0)), 1,
+                   "income must be a non-negative number"))
+    labels = divisors = None
+    at = 1  # next column of `columns`
+    if config.group_column is not None:
+        labels = np.array([label.strip() for label in columns[:, at].tolist()],
+                          dtype=object)
+        errors.append((_first(labels == ""), 2, "empty group label"))
+        at += 1
+    if equiv_column is not None:
+        divisors, bad = _parse_floats(columns[:, at])
+        errors.append((bad, 3, f"{equiv_column} not numeric"))
+        errors.append((_first(~np.isfinite(divisors) | (divisors <= 0)), 4,
+                       f"{equiv_column} must be positive"))
+    row, _, message = min(errors)
+    if row < columns.shape[0]:
+        raise DataFormatError(f"row {row + 1}: {message}")
+    return IncomeSample(incomes, group_labels=labels, equivalence_divisors=divisors)
+
+
+def _read_columns(handle, usecols: Sequence[int]) -> np.ndarray:
+    """The data rows' fields at usecols, as an (rows, len(usecols)) array of
+    Python strings.  Blank lines are skipped; quoted fields may hold commas,
+    quotes and newlines; no line is a comment.
+
+    Object dtype, not '<U': loadtxt collects Python strings either way, and
+    sizing them into '<U' (then parsing that) took twice as long.
+    """
+    with warnings.catch_warnings():
+        # numpy warns about blank lines and about a file with no data rows.
+        warnings.filterwarnings("ignore", message=".*contained no data",
+                                category=UserWarning)
+        try:
+            return np.loadtxt(handle, delimiter=",", quotechar='"', comments=None,
+                              usecols=usecols, dtype=object, ndmin=2)
+        except ValueError:
+            pass
+    # Some row lacks a needed field.  Pad short rows with empty fields, as a
+    # dict row would, so the checks name the first bad row.
+    handle.seek(0)
+    rows = csv.reader(handle)
+    next(rows)
+    padded = [[row[c] if c < len(row) else "" for c in usecols] for row in rows if row]
+    return np.array(padded, dtype=object).reshape(len(padded), len(usecols))
+
+
+def _first(mask: np.ndarray) -> int:
+    """Index of the first True entry, or len(mask) when there is none."""
+    return int(np.argmax(mask)) if mask.any() else mask.size
+
+
+def _parse_floats(column: np.ndarray) -> tuple[np.ndarray, int]:
+    """Parse a column of strings with float(), which ignores surrounding
+    whitespace; also return the index of the first entry that is not a
+    number (len(column) when all are).  From that entry on, the values are
+    NaN."""
+    try:
+        return column.astype(float), column.size
+    except ValueError:
+        pass
+    values = np.full(column.size, np.nan)
+    for index, text in enumerate(column.tolist()):
+        try:
+            values[index] = float(text)
+        except ValueError:
+            return values, index
+    return values, column.size
 
 
 # ---------------------------------------------------------------------------

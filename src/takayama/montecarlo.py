@@ -18,7 +18,7 @@ import numpy as np
 
 from .asymptotics import confidence_interval, sigma_plugin
 from .decomposition import analytic_partition, decomposability_gap, gap_variance, partition
-from .distributions import AnalyticDistribution, mixture
+from .distributions import AnalyticDistribution, mixture, require_finite_second_moment
 from .errors import NumericalError
 from .indices import takayama_empirical, takayama_population
 from .normal import kolmogorov_critical_value, normal_cdf
@@ -126,6 +126,9 @@ class ReplicateStudy:
             raise ValueError("sample_size must be at least 1")
         if self.replicate_count < 1:
             raise ValueError("replicate_count must be at least 1")
+        # Coverage of an interval is only defined when the variance is finite.
+        for component in _as_mixture(self.model).components:
+            require_finite_second_moment(component)
 
 
 def _as_mixture(model: Model) -> MixtureModel:

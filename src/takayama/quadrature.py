@@ -3,14 +3,15 @@
 Thin wrapper over scipy's QUADPACK: callers state an absolute tolerance and
 a subdivision cap; failure to converge raises instead of returning a noisy
 value.  All population-level integrals in this package go through here.
+scipy is imported on the first integral, not with this module, so the
+empirical paths (and the CLI's index and decompose) never load it.
 """
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable
-
-from scipy.integrate import IntegrationWarning, quad
 
 from .errors import QuadratureError
 
@@ -42,12 +43,11 @@ class QuadratureSettings:
 DEFAULT_QUADRATURE = QuadratureSettings()
 
 
-def _quad_once(fn, lo, hi, settings, pts):
-    # QUADPACK rejects epsabs=0 when epsrel is tiny; keep a floor.
-    return quad(fn, lo, hi,
-                epsabs=max(settings.abs_tol, 1e-14), epsrel=settings.rel_tol,
-                limit=settings.max_subdivisions,
-                points=pts if pts else None)
+@functools.cache
+def _quadpack():
+    """scipy's quad and IntegrationWarning, imported once, on first use."""
+    from scipy.integrate import IntegrationWarning, quad
+    return quad, IntegrationWarning
 
 
 def integrate(fn: Callable[[float], float], lo: float, hi: float,
@@ -62,9 +62,14 @@ def integrate(fn: Callable[[float], float], lo: float, hi: float,
     if hi <= lo:
         return 0.0
     pts = sorted(p for p in breakpoints if lo < p < hi)
+    quad, integration_warning = _quadpack()
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        value, abserr = _quad_once(fn, lo, hi, settings, pts)
+        warnings.simplefilter("ignore", integration_warning)
+        # QUADPACK rejects epsabs=0 when epsrel is tiny; keep a floor.
+        value, abserr = quad(fn, lo, hi,
+                             epsabs=max(settings.abs_tol, 1e-14), epsrel=settings.rel_tol,
+                             limit=settings.max_subdivisions,
+                             points=pts if pts else None)
     tol = max(settings.abs_tol, settings.rel_tol * abs(value))
     if abserr > tol:
         raise QuadratureError(

@@ -147,7 +147,10 @@ def empirical_quantile(dist: EmpiricalDistribution, s) -> float | np.ndarray:
     arr = np.asarray(s, dtype=float)
     if arr.size and (arr.min() <= 0.0 or arr.max() > 1.0):
         raise ValueError("quantile argument must lie in (0, 1]")
-    idx = np.clip(np.ceil(arr * dist.size).astype(int), 1, dist.size)
+    # s = j/n can round to a hair above j after the product (14/25 * 25);
+    # shave a few ulps so the boundary stays in cell j.
+    scaled = arr * dist.size * (1.0 - 4.0 * np.finfo(float).eps)
+    idx = np.clip(np.ceil(scaled).astype(int), 1, dist.size)
     out = dist.sorted_values[idx - 1]
     return float(out) if np.isscalar(s) else out
 

@@ -158,6 +158,14 @@ def test_sigma_analytic_line_below_support():
     assert decomp.total == 0.0
 
 
+@pytest.mark.parametrize("shape", [1.5, 2.0])
+def test_sigma_analytic_refuses_infinite_second_moment(shape):
+    dist = pareto(0.5, shape)
+    assert dist.second_moment == math.inf
+    with pytest.raises(ValueError, match=r"pareto\(0\.5,[0-9.]+\) has an infinite second moment"):
+        sigma_analytic(dist, CFG1)
+
+
 @pytest.mark.parametrize("dist", [
     uniform(0.0, 1.0), uniform(0.0, 3.0), exponential(1.0), exponential(0.5),
     lognormal(0.0, 0.75), pareto(0.25, 3.5),

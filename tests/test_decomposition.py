@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -57,6 +58,30 @@ def test_partition_singleton_groups():
 def test_partition_requires_labels():
     with pytest.raises(ValueError, match="labels"):
         partition(IncomeSample([1.0, 2.0]))
+
+
+def test_partition_one_pass_pins_order_sizes_and_values():
+    rng = np.random.default_rng(16)
+    names = [f"r{k:02d}" for k in rng.permutation(16)]
+    labels = np.array(names, dtype=object).repeat(np.arange(1, 17))
+    rng.shuffle(labels)
+    values = np.round(rng.lognormal(0.0, 0.8, labels.size), 2)
+    part = partition(IncomeSample(values, group_labels=labels))
+
+    first_seen = list(dict.fromkeys(labels.tolist()))
+    assert [g.label for g in part.groups] == first_seen
+    for group in part.groups:
+        members = values[labels == group.label]
+        assert group.size == members.size
+        assert group.weight == members.size / values.size
+        assert group.dist.sorted_values.tolist() == np.sort(members).tolist()
+    assert part.pooled.sorted_values.tolist() == np.sort(values).tolist()
+
+
+def test_partition_rejects_nan_label_as_empty_group():
+    labels = np.array(["a", float("nan"), "a"], dtype=object)
+    with pytest.raises(ValueError, match="empty group nan"):
+        partition(IncomeSample([1.0, 2.0, 3.0], group_labels=labels))
 
 
 def test_empty_group_rejected():
@@ -140,6 +165,26 @@ def _flat(gv: GapVariance):
 
 def _thetas(gv: GapVariance):
     return (gv.theta1_sq, gv.theta2_sq, gv.theta3_sq)
+
+
+def test_theta2_is_a_centred_weighted_variance():
+    # Gap scalars near -0.70 that differ in the fifth digit: E[v^2] - vbar^2
+    # loses about seven digits here, the centred sum keeps them.
+    rng = np.random.default_rng(1)
+    values = rng.lognormal(0.0, 0.8, 4000)
+    labels = rng.choice(np.array(["a", "b"], dtype=object), 4000)
+    part = partition(IncomeSample(values, group_labels=labels))
+    variance = gap_variance(part, CFG1)
+
+    p = [Fraction(w) for w in part.weights]
+    v = [Fraction(x) for x in variance.gap_scalars]
+    mean = sum(pi * vi for pi, vi in zip(p, v))
+    exact = float(sum(pi * (vi - mean) ** 2 for pi, vi in zip(p, v)))
+    assert 1e-11 < exact < 1e-9
+    assert variance.theta2_sq == pytest.approx(exact, rel=1e-12, abs=0.0)
+    one_pass = (np.dot(part.weights, np.square(variance.gap_scalars))
+                - np.dot(part.weights, variance.gap_scalars) ** 2)
+    assert abs(one_pass - exact) > 1e-9 * exact
 
 
 def test_gap_variance_single_group_all_zero_empirical(rng):

@@ -1,11 +1,22 @@
+import csv
 import json
+import os
+import subprocess
+import sys
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import takayama
 from takayama import DataFormatError
 from takayama.cli import cli_dispatch
 from takayama.io import CSV, JSON, TEXT, RunConfig, emit_report, ingest_csv
+
+from _oracles import ingest_csv_rowwise_oracle
 
 
 @pytest.fixture
@@ -72,6 +83,134 @@ def test_ingest_empty_inputs(tmp_path):
     headers_only.write_text("income\n", encoding="utf-8")
     with pytest.raises(DataFormatError, match="no data rows"):
         ingest_csv(str(headers_only), RunConfig())
+
+
+def test_ingest_headers_only_leaks_no_numpy_warning(tmp_path):
+    path = tmp_path / "headers.csv"
+    path.write_text("income,region\n\n\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataFormatError, match="no data rows"):
+            ingest_csv(str(path), RunConfig(group_column="region"))
+    path.write_text("income\n1\n\n2\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ingest_csv(str(path), RunConfig()).values.tolist() == [1.0, 2.0]
+
+
+# ---------------------------------------------------------------------------
+# parity of the vectorised reader with the row-wise oracle
+
+
+def _outcome(reader, path, config):
+    """What a reader makes of a file: its arrays, or its error message."""
+    try:
+        sample = reader(path, config)
+    except DataFormatError as exc:
+        return ("error", str(exc))
+    labels = sample.group_labels
+    divisors = sample.equivalence_divisors
+    return ("sample", sample.values.dtype.str, sample.values.tobytes(),
+            None if divisors is None else divisors.tobytes(),
+            None if labels is None else (labels.dtype.str, labels.tolist()))
+
+
+def _assert_parity(path, config):
+    expected = _outcome(ingest_csv_rowwise_oracle, path, config)
+    assert _outcome(ingest_csv, path, config) == expected
+    return expected
+
+
+REGION = RunConfig(group_column="region")
+PARITY_CASES = {
+    "blank lines": ("income,region\n\n1,a\n\n\n2,b\n\n", REGION),
+    "blank line before a bad row": ("income\n1\n\nabc\n", RunConfig()),
+    "quoted comma": ('income,region\n3,"Dakar, urban"\n"4",north\n', REGION),
+    "quoted newline and quotes": ('income,region\n1,"north\nside"\n2,"say ""b"""\nx,c\n',
+                                  REGION),
+    "whitespace": ("income,region,adult_equiv\n 3 , north ,  2 \n\t4\t,south,1\n", REGION),
+    "whitespace-only label": ('income,region\n1,a\n2,"  "\n', REGION),
+    "whitespace-only line": ("income\n1\n   \n", RunConfig()),
+    "short row, divisor missing": ("income,region,adult_equiv\n1,a,1\n2,b\n", REGION),
+    "short row, income missing": ("household_id,income\nh1,3\nh2\n", RunConfig()),
+    "short row, unused column missing": ("income,notes\n3,x\n4\n", RunConfig()),
+    "long rows": ("income,region\n1,a,extra,more\n2,b\n", REGION),
+    "crlf": ("income,region,adult_equiv\r\n10,a,2\r\n6,b,3\r\n", REGION),
+    "value starts with hash": ("region,income\n#north,1\nsouth,2\n", REGION),
+    "income starts with hash": ("income,region\n1,a\n#3,b\n", REGION),
+    "nan income": ("income\n1\nnan\n", RunConfig()),
+    "inf income": ("income\n1\ninf\n", RunConfig()),
+    "negative income": ("income\n1\n-0.5\n", RunConfig()),
+    "negative zero income": ("income\n-0\n2\n", RunConfig()),
+    "zero divisor": ("income,adult_equiv\n3,1\n3,0\n", RunConfig()),
+    "nan divisor": ("income,adult_equiv\n3,1\n3,nan\n", RunConfig()),
+    "text divisor": ("income,ae\n3,1\n3,two\n", RunConfig(adult_equiv_column="ae")),
+    "empty label": ("income,region\n1,a\n2,\n", REGION),
+    "income error wins within a row": ("income,region,adult_equiv\n1,a,1\nabc,,0\n", REGION),
+    "label error wins over divisor": ("income,region,adult_equiv\n1,a,1\n1,,0\n", REGION),
+    "earlier row wins over column order": ("income,region,adult_equiv\n1,a,0\nabc,b,1\n",
+                                           REGION),
+    "repeated header name": ("income,income\n1,2\n", RunConfig()),
+    "label column is the income column": ("income\n1\n2\n", RunConfig(group_column="income")),
+    "headers only": ("income,region\n", REGION),
+    "empty file": ("", RunConfig()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARITY_CASES))
+def test_ingest_matches_rowwise_oracle(case, tmp_path):
+    text, config = PARITY_CASES[case]
+    path = tmp_path / "case.csv"
+    path.write_bytes(text.encode("utf-8"))
+    _assert_parity(str(path), config)
+
+
+def _numbers():
+    finite = st.floats(-5.0, 1e9, allow_nan=False, allow_infinity=False)
+    formatted = st.one_of(finite.map(repr), finite.map("{:.2f}".format),
+                          finite.map("{:e}".format), st.integers(-3, 10**6).map(str))
+    return st.one_of(formatted, formatted.map(" {} ".format),
+                     st.sampled_from(["nan", "inf", "", "abc", "1,5"]))
+
+
+survey_rows = st.lists(
+    st.tuples(_numbers(),
+              st.text(alphabet="ab #,\"-", max_size=4),
+              _numbers()),
+    min_size=0, max_size=30)
+
+
+@given(survey_rows, st.sampled_from(["\n", "\r\n"]),
+       st.lists(st.integers(0, 30), max_size=3))
+def test_ingest_matches_rowwise_oracle_on_generated_files(rows, newline, blank_after):
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "survey.csv")
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle, lineterminator=newline)
+            writer.writerow(["income", "region", "adult_equiv"])
+            for index, row in enumerate(rows):
+                writer.writerow(row)
+                if index in blank_after:
+                    handle.write(newline)
+        for config in (RunConfig(), REGION):
+            _assert_parity(path, config)
+
+
+def test_ingest_matches_rowwise_oracle_on_survey_file(tmp_path):
+    rng = np.random.default_rng(7)
+    n = 3000
+    cents = np.rint(rng.lognormal(11.0, 0.8, n) * 100).astype(np.int64)
+    cents[rng.random(n) < 0.03] = 0
+    tenths = 10 + 5 * rng.integers(0, 4, n) + 3 * rng.integers(0, 5, n)
+    regions = rng.integers(0, 16, n)
+    path = tmp_path / "survey.csv"
+    lines = ["household_id,region,income,adult_equiv"]
+    lines += [f"{i + 1},region-{r:02d},{c // 100}.{c % 100:02d},{t // 10}.{t % 10}"
+              for i, (r, c, t) in enumerate(zip(regions.tolist(), cents.tolist(),
+                                                tenths.tolist()))]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    outcome = _assert_parity(str(path), REGION)
+    assert outcome[0] == "sample"
 
 
 def test_run_config_merge_flags_win():
@@ -239,3 +378,50 @@ def test_cli_simulate_gap_csv(capsys):
 
 def test_cli_simulate_bad_model():
     assert cli_dispatch(["simulate", "--model", "cauchy:0,1", "--z", "1"]) == 2
+
+
+def test_cli_simulate_weight_count_must_match_models(capsys):
+    rc = cli_dispatch(["simulate", "--model", "uniform:0,1", "--weights", "0.5,0.5",
+                       "--z", "1", "--n", "50", "--reps", "5"])
+    assert rc == 2
+    assert "components and weights must be non-empty and match" in capsys.readouterr().err
+
+
+def test_cli_simulate_refuses_infinite_variance_model(capsys):
+    rc = cli_dispatch(["simulate", "--model", "uniform:0,1", "--model", "pareto:1,1.5",
+                       "--z", "1", "--n", "100", "--reps", "10", "--seed", "4"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "pareto(1,1.5) has an infinite second moment" in err
+
+
+# ---------------------------------------------------------------------------
+# scipy stays unloaded on the empirical paths
+
+
+def _scipy_modules_after(code):
+    """Run code in a fresh interpreter; return the scipy modules it loaded."""
+    source = os.path.dirname(os.path.dirname(takayama.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+    probe = code + ("\nimport sys\n"
+                    "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    return done.stdout.strip().splitlines()[-1]
+
+
+def test_import_cli_loads_no_scipy():
+    assert _scipy_modules_after("import takayama.cli") == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["index", "--poverty-line", "4.5"],
+    ["decompose", "--poverty-line", "4.5", "--group-column", "region"],
+])
+def test_cli_empirical_commands_load_no_scipy(argv, survey_csv, tmp_path):
+    argv = argv + ["--input", survey_csv, "--output", str(tmp_path / "report.txt")]
+    code = ("from takayama.cli import cli_dispatch\n"
+            f"assert cli_dispatch({argv!r}) == 0\n")
+    assert _scipy_modules_after(code) == "[]"
+    assert "report" in (tmp_path / "report.txt").read_text(encoding="utf-8")
