@@ -21,7 +21,6 @@ def main() -> None:
     parser.add_argument("--sizes", default="250,500,1000,2000")
     parser.add_argument("--reps", type=int, default=500)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--threads", type=int, default=2)
     args = parser.parse_args()
 
     components = tuple(parse_distribution(spec) for spec in args.model)
@@ -38,7 +37,7 @@ def main() -> None:
     print(f"{'n':>6}  {'coverage':>8}  {'mc var':>9}  {'mean plug':>9}  {'KS':>7}  pass")
     for n in (int(tok) for tok in args.sizes.split(",")):
         study = ReplicateStudy(model, n, args.reps, args.seed, config)
-        records = run_replicates(study, threads=args.threads).records
+        records = run_replicates(study).records
         scaled = records.scaled_deviations(n)
         ks = ks_normality(scaled) if scaled.size >= 100 else None
         print(f"{n:>6}  {records.coverage():>8.4f}  {scaled.var(ddof=1):>9.5f}  "

@@ -1,11 +1,11 @@
 """Takayama poverty index: estimation, asymptotic inference, and
 decomposability-gap analysis on income microdata."""
 
-from .asymptotics import (ConfidenceInterval, KernelSet, VarianceDecomposition,
-                          bridge_cell_integral, bridge_quadratic_step,
-                          confidence_interval, kernel_eval,
-                          representation_residual, sigma_analytic, sigma_plugin,
-                          sigma2_step_quadrature)
+from .asymptotics import (ConfidenceInterval, KernelSet, PluginRows,
+                          VarianceDecomposition, bridge_cell_integral,
+                          bridge_quadratic_step, confidence_interval, kernel_eval,
+                          plugin_rows, representation_residual, sigma_analytic,
+                          sigma_plugin, sigma2_step_quadrature)
 from .decomposition import (GapEstimate, GapVariance, Subgroup, SubgroupPartition,
                             analytic_partition, decomposability_gap, gap_variance,
                             partition, recompose_global, recompose_interval)
@@ -13,7 +13,8 @@ from .distributions import (AnalyticDistribution, exponential, lognormal,
                             mixture, pareto, parse_distribution, uniform)
 from .errors import DataFormatError, NumericalError, QuadratureError
 from .indices import (FGT, TAKAYAMA_EMPIRICAL, TAKAYAMA_POPULATION, IndexValue,
-                      fgt_index, takayama_empirical, takayama_population)
+                      fgt_index, takayama_empirical, takayama_population,
+                      takayama_rows)
 from .montecarlo import (KsNormalityResult, MixtureModel, ReplicateRecords,
                          ReplicateStudy, bootstrap_variance, draw_mixture_sample,
                          ks_normality, population_truth, run_replicates)
@@ -30,7 +31,8 @@ __all__ = [
     "AnalyticDistribution", "ConfidenceInterval", "DataFormatError",
     "DEFAULT_QUADRATURE", "EmpiricalDistribution", "FGT", "GapEstimate",
     "GapVariance", "IncomeSample", "IndexValue", "KernelSet",
-    "KsNormalityResult", "MixtureModel", "NumericalError", "PovertyConfig",
+    "KsNormalityResult", "MixtureModel", "NumericalError", "PluginRows",
+    "PovertyConfig",
     "QuadratureError", "QuadratureSettings", "ReplicateRecords",
     "ReplicateStudy", "Subgroup", "SubgroupPartition", "TAKAYAMA_EMPIRICAL",
     "TAKAYAMA_POPULATION", "VarianceDecomposition", "analytic_partition",
@@ -40,9 +42,10 @@ __all__ = [
     "empirical_quantile", "exponential", "fgt_index", "gap_variance",
     "integrate", "kernel_eval", "kolmogorov_critical_value", "ks_normality",
     "lognormal", "mixture", "normal_cdf", "normal_quantile", "pareto",
-    "parse_distribution", "partition", "poor_count", "population_truth",
+    "parse_distribution", "partition", "plugin_rows", "poor_count",
+    "population_truth",
     "recompose_global", "recompose_interval", "representation_residual",
     "run_replicates", "sigma2_step_quadrature", "sigma_analytic",
     "sigma_plugin", "standardize", "takayama_empirical", "takayama_population",
-    "uniform",
+    "takayama_rows", "uniform",
 ]

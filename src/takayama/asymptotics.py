@@ -29,7 +29,9 @@ Monte Carlo and coverage tests pin the sign down.
 
 The plug-in estimator replaces F by the empirical CDF and mu by the sample
 mean; every integral then has a closed form over the n quantile cells and
-is summed exactly below (no quadrature on the estimation path).
+is summed exactly below (no quadrature on the estimation path).  The sums
+are written once, row-wise: plugin_rows scores a stack of sorted samples
+along axis 1, and sigma_plugin is its one-row call.
 """
 from __future__ import annotations
 
@@ -41,7 +43,7 @@ import numpy as np
 
 from .distributions import AnalyticDistribution, require_finite_second_moment
 from .errors import NumericalError
-from .indices import takayama_empirical, takayama_population
+from .indices import takayama_empirical, takayama_population, takayama_rows
 from .normal import normal_quantile
 from .quadrature import DEFAULT_QUADRATURE, QuadratureSettings, integrate
 from .samples import (EmpiricalDistribution, PovertyConfig,
@@ -218,46 +220,109 @@ def bridge_quadratic_step(step_values: np.ndarray) -> float:
     step function w taking step_values on the uniform cell grid of [0, 1].
 
     Diagonal cells use the closed-form square-cell integral; off-diagonal
-    cells factorize as s (1 - t), so one suffix sum gives the whole upper
+    cells factorize as s (1 - t), so one prefix sum gives the whole upper
     triangle and the quadratic form costs O(n)."""
     w_vals = np.asarray(step_values, dtype=float)
-    n = w_vals.size
-    j = np.arange(1, n + 1, dtype=float)
+    return float(_bridge_quadratic_rows(w_vals[np.newaxis, :], w_vals.size)[0])
+
+
+def _bridge_quadratic_rows(w: np.ndarray, n: int) -> np.ndarray:
+    """bridge_quadratic_step of every row of w on the n-cell grid.  w may
+    hold only the first q <= n cells when the rest of every row is zero."""
+    j = np.arange(1, w.shape[1] + 1, dtype=float)
     cell_lo = (j - 1.0) / n
     cell_hi = j / n
     width = 1.0 / n
     cell_s = (2.0 * j - 1.0) / (2.0 * n * n)  # integral of s over each cell
 
     diag = (cell_hi ** 3 - cell_lo ** 3) / 3.0 - cell_lo ** 2 * width - cell_s ** 2
-    tail = np.zeros(n)
-    contrib = w_vals * (width - cell_s)
-    tail[:-1] = np.cumsum(contrib[::-1])[::-1][1:]
-    return float(np.dot(w_vals * w_vals, diag) + 2.0 * np.dot(w_vals * cell_s, tail))
+    # Cells j < k contribute w_j s_j * w_k (width - s_k): a prefix sum over j.
+    before = np.cumsum(w * cell_s, axis=1)
+    return (np.einsum("ij,j->i", w * w, diag)
+            + 2.0 * np.einsum("ij,ij->i", (w * (width - cell_s))[:, 1:], before[:, :-1]))
+
+
+@dataclass(frozen=True)
+class PluginRows:
+    """Per-row output of plugin_rows: T_n, and the variance components when
+    they were asked for (None otherwise)."""
+    index: np.ndarray
+    sigma1_sq: Optional[np.ndarray] = None
+    sigma2_sq: Optional[np.ndarray] = None
+    sigma12: Optional[np.ndarray] = None
+
+    @property
+    def total(self) -> np.ndarray:
+        return self.sigma1_sq + self.sigma2_sq + 2.0 * self.sigma12
+
+
+def _last_tied_position(x: np.ndarray) -> Optional[np.ndarray]:
+    """For each entry of the ascending rows of x, the position of the last
+    entry equal to it (searchsorted side="right", minus one); None when no
+    row has ties, where that position is the entry's own."""
+    tied = x[:, 1:] == x[:, :-1]
+    if not tied.any():
+        return None
+    n = x.shape[1]
+    run_ends = np.full(x.shape, n - 1)
+    run_ends[:, :-1] = np.where(tied, n, np.arange(n - 1))
+    return np.minimum.accumulate(run_ends[:, ::-1], axis=1)[:, ::-1]
+
+
+def plugin_rows(sorted_rows: np.ndarray, means: np.ndarray, config: PovertyConfig,
+                variance: bool = True) -> PluginRows:
+    """The plug-in core: T_n and sigma1^2, sigma2^2, sigma12 of every row of
+    an (m, n) array of ascending samples, with means the row means.
+
+    Every integral is summed exactly over the n quantile cells, along
+    axis 1: O(n) per row after sorting (prefix sums).  F_n is
+    right-continuous, so tied values share the rank of the last of them.
+    """
+    x = sorted_rows
+    index = takayama_rows(x, means, config)
+    if not variance:
+        return PluginRows(index)
+    n = x.shape[1]
+    mu = means[:, np.newaxis]
+    # h and nu vanish past each row's poor prefix, and so do the sigma2 and
+    # sigma12 sums: all of them run over the longest prefix, q cells.  A
+    # poor value's ties lie inside its own row's prefix.
+    poor = config.poor_mask(x)
+    q = int(np.count_nonzero(poor, axis=1).max())
+    x_q, poor = x[:, :q], poor[:, :q]
+    ranks = np.arange(1, q + 1, dtype=float)
+    last_le = _last_tied_position(x_q)
+    f_at = ranks / n if last_le is None else (last_le + 1) / n
+    h_at = x_q * (1.0 - f_at) * poor
+    p_h = h_at.sum(axis=1, keepdims=True) / n
+
+    # g = 2 (P(h) x / mu^2 - h / mu).  Its mean is zero up to rounding, so
+    # Var g = E g^2 - (E g)^2 loses nothing to cancellation.
+    g_at = (2.0 * p_h / mu ** 2) * x
+    g_at[:, :q] -= (2.0 / mu) * h_at
+    p_g = g_at.mean(axis=1)
+    sigma1 = np.einsum("ij,ij->i", g_at, g_at) / n - p_g ** 2
+
+    nu = (-2.0 / mu) * x_q * poor
+    sigma2 = _bridge_quadratic_rows(nu, n)
+
+    # sigma12 = -sum nu (G_j width - P(g) s_j), with G_j = (1/n) times the
+    # partial sum of g up to the last value tied with x_j.
+    partial_g = np.cumsum(g_at[:, :q], axis=1)
+    if last_le is not None:
+        partial_g = np.take_along_axis(partial_g, last_le, axis=1)
+    cell_s = (2.0 * ranks - 1.0) / (2.0 * n * n)
+    sigma12 = (p_g * np.einsum("ij,j->i", nu, cell_s)
+               - np.einsum("ij,ij->i", nu, partial_g) / n ** 2)
+    return PluginRows(index, sigma1, sigma2, sigma12)
 
 
 def sigma_plugin(dist: EmpiricalDistribution,
                  config: PovertyConfig) -> VarianceDecomposition:
-    """Plug-in variance with every integral summed exactly over the n
-    quantile cells: O(n) after sorting (prefix/suffix sums)."""
-    kernels = KernelSet(dist, config)
-    x = dist.sorted_values
-    n = dist.size
-    g_at = kernels.g(x)
-    p_g = float(g_at.mean())
-    sigma1 = float(np.mean((g_at - p_g) ** 2))
-
-    nu = np.where(config.poor_mask(x), -2.0 * x / dist.mean, 0.0)
-    sigma2 = bridge_quadratic_step(nu)
-
-    # sigma12: the partial-sum bracket is constant on each cell.
-    j = np.arange(1, n + 1, dtype=float)
-    cell_s = (2.0 * j - 1.0) / (2.0 * n * n)
-    width = 1.0 / n
-    last_le = np.searchsorted(x, x, side="right") - 1
-    partial_g = np.cumsum(g_at)[last_le] / n
-    sigma12 = -float(np.dot(nu, partial_g * width - p_g * cell_s))
-
-    return VarianceDecomposition.assemble(sigma1, sigma2, sigma12)
+    """Plug-in variance of one sample: the one-row call of plugin_rows."""
+    rows = plugin_rows(dist.sorted_values[np.newaxis, :], np.array([dist.mean]), config)
+    return VarianceDecomposition.assemble(float(rows.sigma1_sq[0]), float(rows.sigma2_sq[0]),
+                                          float(rows.sigma12[0]))
 
 
 def sigma_analytic(dist: AnalyticDistribution, config: PovertyConfig,

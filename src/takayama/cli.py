@@ -72,7 +72,9 @@ def _build_parser() -> _Parser:
     p_sim.add_argument("--n", type=int, dest="sample_size")
     p_sim.add_argument("--reps", type=int, dest="replicates")
     p_sim.add_argument("--seed", type=int, dest="seed")
-    p_sim.add_argument("--threads", type=int, dest="threads")
+    p_sim.add_argument("--threads", type=int, dest="threads",
+                       help="accepted but has no effect: replicates are scored "
+                            "in vectorised chunks on one thread")
     p_sim.add_argument("--target", choices=("takayama", "gap"), default="takayama")
 
     p_rep = sub.add_parser("report", help="re-render a saved JSON report")

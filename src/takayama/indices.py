@@ -37,12 +37,25 @@ class IndexValue:
 
 def takayama_empirical(dist: EmpiricalDistribution, config: PovertyConfig) -> IndexValue:
     """Evaluate T_n exactly.  With no poor the sum is empty and T_n = 1 + 1/n."""
-    n = dist.size
-    q = poor_count(dist, config)
-    ranks = np.arange(1, q + 1, dtype=float)
-    weighted = float(np.dot(n - ranks + 1.0, dist.sorted_values[:q]))
-    value = 1.0 + 1.0 / n - 2.0 * weighted / (dist.mean * n * n)
-    return IndexValue(value, TAKAYAMA_EMPIRICAL, n)
+    value = takayama_rows(dist.sorted_values[np.newaxis, :], np.array([dist.mean]), config)
+    return IndexValue(float(value[0]), TAKAYAMA_EMPIRICAL, dist.size)
+
+
+def takayama_rows(sorted_rows: np.ndarray, means: np.ndarray,
+                  config: PovertyConfig) -> np.ndarray:
+    """T_n of every row of an (m, n) array of ascending samples.
+
+    means holds each row's sample mean.  The poor occupy a prefix of each
+    sorted row, so the rank weights n - j + 1 apply to the longest prefix,
+    with each row's non-poor entries in it zeroed.
+    """
+    n = sorted_rows.shape[1]
+    poor = config.poor_mask(sorted_rows)
+    q = int(np.count_nonzero(poor, axis=1).max())
+    rank_weights = np.arange(n, n - q, -1, dtype=float)
+    poor_values = np.where(poor[:, :q], sorted_rows[:, :q], 0.0)
+    weighted = np.einsum("ij,j->i", poor_values, rank_weights)
+    return 1.0 + 1.0 / n - 2.0 * weighted / (means * n * n)
 
 
 def takayama_population(dist: AnalyticDistribution, config: PovertyConfig,

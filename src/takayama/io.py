@@ -91,7 +91,10 @@ def ingest_csv(path: str, config: RunConfig) -> IncomeSample:
     except OSError as exc:
         raise DataFormatError(f"cannot open {path}: {exc}") from exc
     with handle:
-        header = next(csv.reader(handle), None)
+        try:
+            header = next(csv.reader(handle), None)
+        except csv.Error as exc:
+            raise DataFormatError(f"{path}: unreadable CSV header ({exc})") from exc
         if header is None:
             raise DataFormatError(f"{path}: empty file")
 
@@ -109,7 +112,10 @@ def ingest_csv(path: str, config: RunConfig) -> IncomeSample:
         # A repeated header name maps to its last column, as in a dict row.
         usecols = [len(header) - 1 - header[::-1].index(name)
                    for name in names if name is not None]
-        columns = _read_columns(handle, usecols)
+        try:
+            columns = _read_columns(handle, usecols)
+        except csv.Error as exc:
+            raise DataFormatError(f"{path}: unreadable CSV row ({exc})") from exc
 
     if columns.shape[0] == 0:
         raise DataFormatError(f"{path}: no data rows")

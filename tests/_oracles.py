@@ -5,7 +5,9 @@ variance oracle works from first-principles influence functions of the
 two-stage sampling scheme, the brute-force helpers recompute grid sums
 and influence values term by term, the cell-sum gap variance evaluates
 the seven A/B components of an empirical partition over quantile cells,
-and the row-wise CSV reader checks the vectorised one.
+the row-wise CSV reader checks the vectorised one, and the one-replicate-
+at-a-time study loop (with its own index, plug-in variance and draws)
+checks the chunked replicate engine.
 """
 from __future__ import annotations
 
@@ -14,13 +16,17 @@ import csv
 import numpy as np
 from scipy.integrate import quad
 
-from takayama.asymptotics import KernelSet, bridge_quadratic_step
-from takayama.decomposition import GapVariance, _weighted_variance
-from takayama.errors import DataFormatError
-from takayama.indices import takayama_empirical, takayama_population
+from takayama.asymptotics import (KernelSet, VarianceDecomposition,
+                                  bridge_quadratic_step, confidence_interval)
+from takayama.decomposition import (GapVariance, _weighted_variance, decomposability_gap,
+                                    gap_variance, partition)
+from takayama.errors import DataFormatError, NumericalError
+from takayama.indices import IndexValue, takayama_empirical, takayama_population
 from takayama.io import RunConfig
+from takayama.montecarlo import (TARGET_TAKAYAMA, ReplicateRecords, _as_mixture,
+                                 _replicate_rng, population_truth)
 from takayama.quadrature import QuadratureSettings
-from takayama.samples import IncomeSample, build_empirical
+from takayama.samples import IncomeSample, build_empirical, poor_count
 
 
 def bisection_normal_quantile(p: float, tol: float = 1e-12) -> float:
@@ -355,3 +361,108 @@ def ingest_csv_rowwise_oracle(path: str, config: RunConfig) -> IncomeSample:
         np.asarray(incomes, dtype=float),
         group_labels=np.asarray(labels, dtype=object) if labels else None,
         equivalence_divisors=np.asarray(divisors, dtype=float) if divisors else None)
+
+
+def takayama_empirical_oracle(dist, config) -> IndexValue:
+    """T_n as one dot product over the q poor order statistics."""
+    n = dist.size
+    q = poor_count(dist, config)
+    ranks = np.arange(1, q + 1, dtype=float)
+    weighted = float(np.dot(n - ranks + 1.0, dist.sorted_values[:q]))
+    value = 1.0 + 1.0 / n - 2.0 * weighted / (dist.mean * n * n)
+    return IndexValue(value, "takayama-empirical", n)
+
+
+def sigma_plugin_oracle(dist, config) -> VarianceDecomposition:
+    """Plug-in variance of one sorted sample, each cell sum written for a
+    single row: kernels from KernelSet, ranks of tied values from
+    searchsorted, and the bridge suffix sum in full."""
+    kernels = KernelSet(dist, config)
+    x = dist.sorted_values
+    n = dist.size
+    g_at = kernels.g(x)
+    p_g = float(g_at.mean())
+    sigma1 = float(np.mean((g_at - p_g) ** 2))
+
+    nu = np.where(config.poor_mask(x), -2.0 * x / dist.mean, 0.0)
+    j = np.arange(1, n + 1, dtype=float)
+    cell_lo = (j - 1.0) / n
+    cell_hi = j / n
+    width = 1.0 / n
+    cell_s = (2.0 * j - 1.0) / (2.0 * n * n)
+    diag = (cell_hi ** 3 - cell_lo ** 3) / 3.0 - cell_lo ** 2 * width - cell_s ** 2
+    tail = np.zeros(n)
+    contrib = nu * (width - cell_s)
+    tail[:-1] = np.cumsum(contrib[::-1])[::-1][1:]
+    sigma2 = float(np.dot(nu * nu, diag) + 2.0 * np.dot(nu * cell_s, tail))
+
+    last_le = np.searchsorted(x, x, side="right") - 1
+    partial_g = np.cumsum(g_at)[last_le] / n
+    sigma12 = -float(np.dot(nu, partial_g * width - p_g * cell_s))
+    return VarianceDecomposition.assemble(sigma1, sigma2, sigma12)
+
+
+def draw_mixture_sample_oracle(model, n: int, rng) -> IncomeSample:
+    """n two-stage draws from rng: one searchsorted over the cumulative
+    weights picks the components, a second uniform vector feeds their
+    quantile functions through boolean masks."""
+    cum = np.cumsum(model.weights)
+    idx = np.searchsorted(cum, rng.random(n), side="right")
+    np.clip(idx, 0, len(model.components) - 1, out=idx)
+    u = rng.random(n)
+    values = np.empty(n, dtype=float)
+    for i, comp in enumerate(model.components):
+        mask = idx == i
+        if mask.any():
+            values[mask] = comp.quantile(u[mask])
+    labels = np.array([str(i) for i in range(len(model.components))], dtype=object)[idx]
+    return IncomeSample(values, group_labels=labels)
+
+
+def run_replicates_loop_oracle(study, target=TARGET_TAKAYAMA,
+                               compute_variance=True) -> ReplicateRecords:
+    """The replicate study one replicate at a time: draw, sort, score and
+    build the interval of each replicate in turn."""
+    mix = _as_mixture(study.model)
+    truth = population_truth(mix, study.config, target)
+    n = study.sample_size
+    r = study.replicate_count
+    config = study.config
+
+    values = np.full(r, np.nan)
+    variances = np.full(r, np.nan)
+    ci_hits = np.zeros(r, dtype=bool)
+    degenerate = np.zeros(r, dtype=bool)
+    for rep in range(r):
+        sample = draw_mixture_sample_oracle(mix, n, _replicate_rng(study.seed, rep))
+        try:
+            if target == TARGET_TAKAYAMA:
+                dist = build_empirical(sample)
+                values[rep] = takayama_empirical_oracle(dist, config).value
+                if compute_variance:
+                    variances[rep] = sigma_plugin_oracle(dist, config).total
+            else:
+                part = partition(sample)
+                values[rep] = decomposability_gap(part, config).gap
+                if compute_variance:
+                    variances[rep] = gap_variance(part, config).gap_centered_total
+            if compute_variance:
+                ci = confidence_interval(values[rep], max(variances[rep], 0.0),
+                                         n, config.confidence_level)
+                ci_hits[rep] = ci.contains(truth)
+        except NumericalError:
+            degenerate[rep] = True
+    return ReplicateRecords(target, truth, values, variances, ci_hits, degenerate)
+
+
+def bootstrap_variance_loop_oracle(values, config, resamples: int, seed: int) -> float:
+    """n times the variance of the index over resamples drawn, sorted and
+    scored one at a time."""
+    values = np.asarray(values, dtype=float)
+    n = values.size
+    rng = np.random.default_rng(seed)
+    stats = np.empty(resamples)
+    for b in range(resamples):
+        draw = values[rng.integers(0, n, n)]
+        stats[b] = takayama_empirical_oracle(build_empirical(IncomeSample(draw)), config).value
+    return n * float(stats.var(ddof=1))

@@ -315,6 +315,19 @@ def test_cli_bad_row_is_data_error(tmp_path):
     assert cli_dispatch(["index", "--input", str(path), "--poverty-line", "2"]) == 2
 
 
+@pytest.mark.parametrize("text", [
+    "income," + "x" * 140_000 + "\n1\n2\n",
+    "note,income\n" + "x" * 140_000 + ",1\n2\n",
+], ids=["header", "short-row-fallback"])
+def test_cli_csv_field_over_limit_is_data_error(text, tmp_path, capsys):
+    # csv rejects fields over 131072 characters: in the header, and in the
+    # re-read that pads a file with a short row.
+    path = tmp_path / "long.csv"
+    path.write_text(text, encoding="utf-8")
+    assert cli_dispatch(["index", "--input", str(path), "--poverty-line", "2"]) == 2
+    assert str(path) in capsys.readouterr().err
+
+
 def test_cli_infinite_poverty_line_is_data_error(survey_csv):
     assert cli_dispatch(["index", "--input", survey_csv, "--poverty-line", "inf"]) == 2
 

@@ -1,15 +1,59 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from takayama import (IncomeSample, MixtureModel, PovertyConfig, ReplicateStudy,
-                      bootstrap_variance, build_empirical, draw_mixture_sample,
-                      empirical_distribution_from_values, exponential,
-                      ks_normality, population_truth, run_replicates,
-                      sigma_plugin, takayama_population, uniform)
+from takayama import (AnalyticDistribution, IncomeSample, MixtureModel, PovertyConfig,
+                      ReplicateStudy, bootstrap_variance, build_empirical,
+                      draw_mixture_sample, empirical_distribution_from_values,
+                      exponential, ks_normality, lognormal, population_truth,
+                      run_replicates, sigma_plugin, takayama_empirical,
+                      takayama_population, uniform)
+from takayama import asymptotics, montecarlo
+from takayama.asymptotics import plugin_rows
+from takayama.montecarlo import CHUNK_ELEMENTS, _draw_rows, _replicate_rng
+
+from _oracles import (bootstrap_variance_loop_oracle, draw_mixture_sample_oracle,
+                      run_replicates_loop_oracle, sigma_plugin_oracle,
+                      takayama_empirical_oracle)
 
 CFG1 = PovertyConfig(1.0)
+
+
+def _heaped_uniform() -> AnalyticDistribution:
+    """uniform(0, 2) rounded down to a 0.25 grid: eight equally likely
+    values 0, 0.25, ..., 1.75, so every sample is full of ties."""
+    def cdf(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x >= 0, np.clip((np.floor(4.0 * x) + 1.0) / 8.0, 0.0, 1.0), 0.0)
+
+    def quantile(s):
+        return np.floor(8.0 * np.asarray(s, dtype=float)) / 4.0
+
+    return AnalyticDistribution(cdf, quantile, 0.875, "heaped-uniform(0,2)",
+                                support=(0.0, 1.75), second_moment=140.0 / 128.0)
+
+
+def _zero_inflated() -> AnalyticDistribution:
+    """Zero with probability 0.7, else uniform(1, 2): samples of a few
+    observations are often all zero, so their mean is zero."""
+    def cdf(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x >= 0, 0.7 + 0.3 * np.clip(x - 1.0, 0.0, 1.0), 0.0)
+
+    def quantile(s):
+        s = np.asarray(s, dtype=float)
+        return np.where(s <= 0.7, 0.0, 1.0 + (s - 0.7) / 0.3)
+
+    return AnalyticDistribution(cdf, quantile, 0.45, "zero-inflated",
+                                support=(0.0, 2.0), second_moment=0.3 * 7.0 / 3.0)
+
+
+def _assert_close_or_both_nan(got, want, rel):
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    ok = ~np.isnan(want)
+    assert np.allclose(got[ok], want[ok], rtol=rel, atol=0.0)
 
 
 def test_single_component_labels_identical():
@@ -180,3 +224,175 @@ def test_ks_normality_degenerate_constant():
 def test_ks_normality_needs_enough_values():
     with pytest.raises(ValueError):
         ks_normality(np.zeros(99))
+
+
+@pytest.mark.parametrize("components,weights,n", [
+    ((exponential(1.0),), (1.0,), 333),
+    ((exponential(1.0), lognormal(0.0, 0.8)), (0.5, 0.5), 501),
+    ((uniform(0.0, 1.0), exponential(1.0), exponential(0.5), lognormal(0.0, 0.8)),
+     (0.1, 0.2, 0.3, 0.4), 777),
+], ids=["K1", "K2", "K4"])
+def test_chunk_draw_rows_equal_one_row_draws(components, weights, n):
+    model = MixtureModel(components, weights)
+    values, picks = _draw_rows(model, n, [_replicate_rng(17, rep) for rep in range(6)])
+    for rep in range(6):
+        one = draw_mixture_sample(model, n, _replicate_rng(17, rep))
+        old = draw_mixture_sample_oracle(model, n, _replicate_rng(17, rep))
+        assert np.array_equal(values[rep], one.values)
+        assert np.array_equal(values[rep], old.values)
+        assert np.array_equal(picks[rep].astype(str).astype(object), one.group_labels)
+        assert np.array_equal(one.group_labels, old.group_labels)
+
+
+def _ties_chunk():
+    # Rows of the heaped law and of a continuous law in one chunk: rows
+    # with and without ties, poor prefixes of different lengths, and ties
+    # among non-poor values inside another row's poor prefix.
+    rng = np.random.default_rng(3)
+    heaped = np.floor(8.0 * rng.random((5, 301))) / 4.0
+    smooth = rng.lognormal(0.0, 0.8, (3, 301))
+    smooth[2] *= 4.0
+    return np.sort(np.vstack([heaped, smooth]), axis=1)
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_plugin_rows_match_one_row_oracles(strict):
+    config = PovertyConfig(1.0, strict_comparison=strict)
+    rows = _ties_chunk()
+    scored = plugin_rows(rows, rows.mean(axis=1), config)
+    for i, row in enumerate(rows):
+        dist = build_empirical(IncomeSample(row))
+        want = sigma_plugin_oracle(dist, config)
+        assert scored.index[i] == pytest.approx(
+            takayama_empirical_oracle(dist, config).value, rel=1e-12)
+        assert scored.sigma1_sq[i] == pytest.approx(want.sigma1_sq, rel=1e-12)
+        assert scored.sigma2_sq[i] == pytest.approx(want.sigma2_sq, rel=1e-12)
+        assert scored.sigma12[i] == pytest.approx(want.sigma12, rel=1e-12)
+        assert scored.total[i] == pytest.approx(want.total, rel=1e-12)
+        one = sigma_plugin(dist, config)
+        assert one.total == pytest.approx(want.total, rel=1e-12)
+        assert takayama_empirical(dist, config).value == scored.index[i]
+    assert plugin_rows(rows, rows.mean(axis=1), config, variance=False).sigma1_sq is None
+
+
+def test_plugin_rows_no_poor_and_all_poor():
+    rows = np.sort(np.random.default_rng(4).random((3, 50)), axis=1) + 2.0
+    for line in (1.0, 10.0):
+        config = PovertyConfig(line)
+        scored = plugin_rows(rows, rows.mean(axis=1), config)
+        for i, row in enumerate(rows):
+            want = sigma_plugin_oracle(build_empirical(IncomeSample(row)), config)
+            assert scored.total[i] == pytest.approx(want.total, rel=1e-12, abs=1e-300)
+
+
+STUDIES = {
+    "benchmark-mixture": (MixtureModel((exponential(1.0), lognormal(0.0, 0.8)), (0.5, 0.5)),
+                          PovertyConfig(1.0), 2000, 40),
+    "heaped": (_heaped_uniform(), PovertyConfig(1.0), 501, 60),
+    "zero-mean-replicates": (_zero_inflated(), PovertyConfig(1.5), 4, 200),
+}
+
+
+@pytest.mark.parametrize("compute_variance", [True, False])
+@pytest.mark.parametrize("name", sorted(STUDIES))
+def test_run_replicates_matches_loop_oracle(name, compute_variance):
+    model, config, n, reps = STUDIES[name]
+    study = ReplicateStudy(model, n, reps, 23, config)
+    got = run_replicates(study, compute_variance=compute_variance).records
+    want = run_replicates_loop_oracle(study, compute_variance=compute_variance)
+    assert got.truth == want.truth
+    _assert_close_or_both_nan(got.values, want.values, 1e-12)
+    _assert_close_or_both_nan(got.variances, want.variances, 1e-12)
+    assert np.array_equal(got.ci_hits, want.ci_hits)
+    assert np.array_equal(got.degenerate, want.degenerate)
+    if name == "zero-mean-replicates":
+        assert 20 <= got.degenerate.sum() <= reps - 20
+    if name == "heaped" and compute_variance:
+        assert got.ci_hits.any()
+
+
+@pytest.mark.parametrize("compute_variance", [True, False])
+def test_gap_study_bit_identical_to_loop_oracle(compute_variance):
+    model = MixtureModel((exponential(1.0), exponential(0.5)), (0.5, 0.5))
+    study = ReplicateStudy(model, 600, 20, 5, CFG1)
+    got = run_replicates(study, target="gap", compute_variance=compute_variance).records
+    want = run_replicates_loop_oracle(study, target="gap",
+                                      compute_variance=compute_variance)
+    assert np.array_equal(got.values, want.values, equal_nan=True)
+    assert np.array_equal(got.variances, want.variances, equal_nan=True)
+    assert np.array_equal(got.ci_hits, want.ci_hits)
+    assert np.array_equal(got.degenerate, want.degenerate)
+
+
+def test_run_replicates_scores_whole_chunks(monkeypatch):
+    # One core call per chunk of max(1, CHUNK_ELEMENTS // n) replicates and
+    # no per-replicate sigma_plugin call.
+    core_calls, plugin_calls = [], []
+
+    def counting_core(sorted_rows, *args, **kwargs):
+        core_calls.append(sorted_rows.shape[0])
+        return plugin_rows(sorted_rows, *args, **kwargs)
+
+    def counting_plugin(*args, **kwargs):
+        plugin_calls.append(1)
+        return sigma_plugin(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "plugin_rows", counting_core)
+    monkeypatch.setattr(asymptotics, "sigma_plugin", counting_plugin)
+    n, reps = 500, 100
+    rows = max(1, CHUNK_ELEMENTS // n)
+    run_replicates(ReplicateStudy(uniform(0.0, 1.0), n, reps, 3, CFG1))
+    assert len(core_calls) == -(-reps // rows)
+    assert core_calls[:-1] == [rows] * (len(core_calls) - 1)
+    assert sum(core_calls) == reps
+    assert not plugin_calls
+
+
+def test_run_replicates_memory_flat_in_replicate_count():
+    # The chunk cap keeps the engine's peak allocation independent of R.
+    def peak(reps):
+        study = ReplicateStudy(uniform(0.0, 1.0), 2000, reps, 7, CFG1)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            run_replicates(study)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    run_replicates(ReplicateStudy(uniform(0.0, 1.0), 2000, 1, 7, CFG1))
+    assert peak(2000) - peak(100) < 1_000_000
+
+
+@pytest.mark.parametrize("n,resamples", [(2000, 100), (301, 250), (40_000, 120)])
+def test_bootstrap_matches_loop_oracle(n, resamples):
+    rng = np.random.default_rng(n)
+    values = np.round(rng.lognormal(0.0, 0.8, n), 1)  # rounded: ties
+    got = bootstrap_variance(values, CFG1, resamples, seed=4)
+    want = bootstrap_variance_loop_oracle(values, CFG1, resamples, seed=4)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_bootstrap_rejects_non_finite_values():
+    with pytest.raises(ValueError):
+        bootstrap_variance([1.0, float("nan"), 2.0], CFG1, 100, seed=1)
+
+
+def test_negative_component_flags_only_its_replicate(monkeypatch):
+    # The sigma1^2 / sigma2^2 >= -1e-9 check of VarianceDecomposition holds
+    # row by row: a failing row keeps its index, loses its variance and is
+    # flagged, and the rest of its chunk is untouched.
+    def one_negative(*args, **kwargs):
+        scored = plugin_rows(*args, **kwargs)
+        scored.sigma2_sq[1] = -1e-6
+        return scored
+
+    study = ReplicateStudy(uniform(0.0, 1.0), 300, 5, 3, CFG1)
+    clean = run_replicates(study).records
+    monkeypatch.setattr(montecarlo, "plugin_rows", one_negative)
+    flagged = run_replicates(study).records
+    assert flagged.degenerate.tolist() == [False, True, False, False, False]
+    assert np.isnan(flagged.variances[1]) and not flagged.ci_hits[1]
+    assert np.array_equal(flagged.values, clean.values)
+    keep = [0, 2, 3, 4]
+    assert np.array_equal(flagged.variances[keep], clean.variances[keep])
