@@ -5,7 +5,7 @@ from .asymptotics import (ConfidenceInterval, KernelSet, PluginRows,
                           VarianceDecomposition, bridge_cell_integral,
                           bridge_quadratic_step, confidence_interval, kernel_eval,
                           plugin_rows, representation_residual, sigma_analytic,
-                          sigma_plugin, sigma2_step_quadrature)
+                          sigma_plugin)
 from .decomposition import (GapEstimate, GapVariance, Subgroup, SubgroupPartition,
                             analytic_partition, decomposability_gap, gap_variance,
                             partition, recompose_global, recompose_interval)
@@ -45,7 +45,7 @@ __all__ = [
     "parse_distribution", "partition", "plugin_rows", "poor_count",
     "population_truth",
     "recompose_global", "recompose_interval", "representation_residual",
-    "run_replicates", "sigma2_step_quadrature", "sigma_analytic",
+    "run_replicates", "sigma_analytic",
     "sigma_plugin", "standardize", "takayama_empirical", "takayama_population",
     "takayama_rows", "uniform",
 ]

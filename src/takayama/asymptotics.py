@@ -31,7 +31,10 @@ The plug-in estimator replaces F by the empirical CDF and mu by the sample
 mean; every integral then has a closed form over the n quantile cells and
 is summed exactly below (no quadrature on the estimation path).  The sums
 are written once, row-wise: plugin_rows scores a stack of sorted samples
-along axis 1, and sigma_plugin is its one-row call.
+along axis 1, and sigma_plugin is its one-row call.  The population values
+(sigma_analytic) are moments of the influence function phi = g - (B - E B)
+with B(x) = int_{F(x)}^1 nu: sigma1^2 = Var g, sigma2^2 = Var B and
+sigma12 = -Cov(g, B).
 """
 from __future__ import annotations
 
@@ -45,7 +48,8 @@ from .distributions import AnalyticDistribution, require_finite_second_moment
 from .errors import NumericalError
 from .indices import takayama_empirical, takayama_population, takayama_rows
 from .normal import normal_quantile
-from .quadrature import DEFAULT_QUADRATURE, QuadratureSettings, integrate
+from .population import bind, influence_variances
+from .quadrature import DEFAULT_QUADRATURE, QuadratureSettings
 from .samples import (EmpiricalDistribution, PovertyConfig,
                       empirical_cdf, empirical_quantile, poor_count)
 
@@ -56,9 +60,10 @@ class KernelSet:
     """The kernels ell/h/g/q/nu bound to one distribution and poverty line.
 
     Scalars mu, P(h) and P(g) are computed once at construction: exactly
-    (sample averages) for an empirical binding, by quadrature in quantile
-    space for an analytic one.  E g(X) is zero by construction; the cached
-    p_g retains the numerical value as a consistency witness.
+    (sample averages) for an empirical binding, by quadrature over each
+    mixture component's quantile for an analytic one (see population).
+    E g(X) is zero by construction; the cached p_g retains the numerical
+    value as a consistency witness.
     """
 
     def __init__(self, source: BoundDistribution, config: PovertyConfig,
@@ -83,13 +88,9 @@ class KernelSet:
             self._cdf = source.cdf
             self._quantile = source.quantile
             self.s_poor = float(np.clip(source.cdf(config.poverty_line), 0.0, 1.0))
-            quantile = source.quantile
-            self.p_h = integrate(lambda s: float(quantile(s)) * (1.0 - s),
-                                 0.0, self.s_poor, quad)
-            # E g = head integral below the line + exact linear tail above it.
-            head_g = integrate(lambda s: float(self.g(quantile(s))), 0.0, self.s_poor, quad)
-            head_q = integrate(lambda s: float(quantile(s)), 0.0, self.s_poor, quad)
-            self.p_g = head_g + (2.0 * self.p_h / self.mu ** 2) * (self.mu - head_q)
+            law = bind(source, config, quad)
+            self.p_h = law.p_h
+            self.p_g = law.mean_g()
 
     def cdf(self, x):
         return self._cdf(x)
@@ -327,78 +328,22 @@ def sigma_plugin(dist: EmpiricalDistribution,
 
 def sigma_analytic(dist: AnalyticDistribution, config: PovertyConfig,
                    quad: QuadratureSettings = DEFAULT_QUADRATURE) -> VarianceDecomposition:
-    """Population variance components by quadrature in quantile space.
-
-    The cross-check path for sigma_plugin; nested integrals use a tighter
-    inner tolerance.  Needs E X^2 < infinity (closed form when the
-    distribution carries one, tail quadrature otherwise).
+    """Population sigma1^2 = Var g, sigma2^2 = Var B and sigma12 = -Cov(g, B)
+    by 1-D quadrature over each mixture component's quantile (see
+    population); the cross-check path for sigma_plugin.  Needs E X^2 <
+    infinity (closed form when the law carries one, tail quadrature
+    otherwise).
     """
     require_finite_second_moment(dist)
-    kernels = KernelSet(dist, config, quad)
-    s_z = kernels.s_poor
-    if s_z <= 0.0:
+    law = bind(dist, config, quad)
+    if law.s_poor <= 0.0:
         return VarianceDecomposition.assemble(0.0, 0.0, 0.0)
-    quantile = dist.quantile
-    inner = quad.tighter()
-
-    # sigma1^2 = E g^2 - (E g)^2, tail handled through the linear branch.
-    head_g2 = integrate(lambda s: float(kernels.g(quantile(s))) ** 2, 0.0, s_z, quad)
-    slope = 2.0 * kernels.p_h / kernels.mu ** 2
-    if dist.second_moment is not None:
-        head_q2 = integrate(lambda s: float(quantile(s)) ** 2, 0.0, s_z, inner)
-        tail_g2 = slope ** 2 * (dist.second_moment - head_q2)
-    else:
-        tail_g2 = slope ** 2 * integrate(lambda s: float(quantile(s)) ** 2, s_z, 1.0, quad)
-    sigma1 = head_g2 + tail_g2 - kernels.p_g ** 2
-
-    def nu(s: float) -> float:
-        return -2.0 * float(quantile(s)) / kernels.mu
-
-    # sigma2^2 over the two triangles around the diagonal.
-    def low_part(s: float) -> float:
-        return integrate(lambda t: t * nu(t), 0.0, s, inner)
-
-    def high_part(s: float) -> float:
-        return integrate(lambda t: (1.0 - t) * nu(t), s, s_z, inner)
-
-    sigma2 = integrate(lambda s: nu(s) * ((1.0 - s) * low_part(s) + s * high_part(s)),
-                       0.0, s_z, quad)
-
-    # sigma12 = - int nu(s) (int_0^s g(Q) dt - s E g) ds.
-    def partial_g(s: float) -> float:
-        return integrate(lambda t: float(kernels.g(quantile(t))), 0.0, s, inner)
-
-    sigma12 = -integrate(lambda s: nu(s) * (partial_g(s) - s * kernels.p_g),
-                         0.0, s_z, quad)
-
-    decomposition = VarianceDecomposition.assemble(sigma1, sigma2, sigma12)
+    decomposition = VarianceDecomposition.assemble(*influence_variances(law))
     if decomposition.total < -1e-9:
         # The population total is a Gaussian variance; a genuinely negative
         # value means the quadratures disagree beyond tolerance.
         raise NumericalError(f"negative population variance {decomposition.total:.3e}")
     return decomposition
-
-
-def sigma2_step_quadrature(nu_values: np.ndarray,
-                           quad: QuadratureSettings = DEFAULT_QUADRATURE) -> float:
-    """Numerically integrate the bridge form for a step weight on the uniform
-    n-cell grid.  Independent cross-check of the exact cell sums (slow; test
-    path only)."""
-    nu_values = np.asarray(nu_values, dtype=float)
-    n = nu_values.size
-    grid = list(np.arange(1, n) / n)
-
-    def nu_step(s: float) -> float:
-        j = min(n, max(1, math.ceil(s * n)))
-        return float(nu_values[j - 1])
-
-    inner_quad = quad.tighter()
-
-    def inner(s: float) -> float:
-        return integrate(lambda t: nu_step(t) * (min(s, t) - s * t), 0.0, 1.0,
-                         inner_quad, breakpoints=[*grid, s])
-
-    return integrate(lambda s: nu_step(s) * inner(s), 0.0, 1.0, quad, breakpoints=grid)
 
 
 def confidence_interval(point: float, variance: float, n: int,

@@ -9,29 +9,19 @@ the difference between the pooled index and the size-weighted subgroup
 indices; a decomposable index (e.g. FGT) makes it vanish identically.
 Centered at the population gap, sqrt(n) gd_n is asymptotically normal with
 variance theta1^2 + theta2^2, where theta1^2 aggregates within- and
-cross-group covariances of the index kernels,
+cross-group covariances of the index kernels (the paper's seven components
+A1 + A2 + A31 + A32 + 2 (B1 + B2 + B3)) and theta2^2 is a weighted
+between-group variance of per-group scalars.  Centering at the mixed gap
+(population indices, empirical weights) replaces theta2^2 by theta3^2, the
+same construction without the index functional term.
 
-    theta1^2 = A1 + A2 + A31 + A32 + 2 (B1 + B2 + B3),
-
-and theta2^2 is a weighted between-group variance of per-group scalars.
-Centering at the mixed gap (population indices, empirical weights) replaces
-theta2^2 by theta3^2, the same construction without the index functional
-term.
-
-Sign conventions.  B1 and B3 are covariances between the mean-level kernel
-difference (g - g_i) and bridge-integral terms; like sigma12 in the pooled
-variance they inherit a leading minus sign from the residual term, and the
-per-group scalars subtract (not add) the mixed moment E[F_h(X^i) q(X^i)].
-Both choices are validated against a Monte Carlo oracle and an independent
-influence-function oracle in the test suite.
-
-The two partition kinds take different routes.  Analytic subgroups
-evaluate the seven components by adaptive quadrature.  Empirical subgroups
-skip them: each observation x of group h gets the influence value
-a_h(x) = phi_pool(x) - phi_h(x), where phi = g - (B - E B) and B(x) is
-1/n times the sum of q over the sample at and above x.  Then theta1^2 is
-sum_h p_h Var_h(a_h), and the per-group scalars are E_h a_h.  The pooled
-kernels are built once, so the cost is O(n log n) for any K.
+Both partition kinds skip the seven components: each income x of group h
+gets the influence value a_h(x) = phi_pool(x) - phi_h(x), where
+phi = g - (B - E B) and B(x) is the integral of q over incomes at and above
+x.  Then theta1^2 is sum_h p_h Var_h(a_h), and the per-group scalars are
+E_h a_h.  Empirical subgroups take B as 1/n times a suffix sum of q over
+the sorted sample, in O(n log n) for any K; analytic subgroups integrate
+a_h and a_h^2 over each component's quantile (population.gap_influence).
 """
 from __future__ import annotations
 
@@ -45,7 +35,8 @@ from .asymptotics import ConfidenceInterval, KernelSet
 from .distributions import AnalyticDistribution, mixture
 from .errors import NumericalError
 from .indices import takayama_empirical, takayama_population
-from .quadrature import DEFAULT_QUADRATURE, QuadratureSettings, integrate
+from .population import gap_influence
+from .quadrature import DEFAULT_QUADRATURE, QuadratureSettings
 from .samples import (EmpiricalDistribution, IncomeSample, PovertyConfig,
                       build_empirical)
 
@@ -205,20 +196,10 @@ def decomposability_gap(part: SubgroupPartition, config: PovertyConfig,
 class GapVariance:
     """Theorem-level variance pieces for the decomposability gap.
 
-    The seven components a1 ... b3 are filled on the analytic route, which
-    assembles theta1^2 from them.  They are None on the empirical route,
-    which takes theta1^2 as a weighted sum of within-group variances of
-    per-observation influence values, non-negative by construction.  The
-    two routes' per-group scalars may differ by a common shift, which
-    theta2^2 and theta3^2 do not see.
+    Both routes take theta1^2 as a weighted sum of within-group variances
+    of influence values a_h = phi_pool - phi_h, and the per-group scalars
+    as E_h a_h (gap_scalars subtract the index functional).
     """
-    a1: Optional[float]
-    a2: Optional[float]
-    a31: Optional[float]
-    a32: Optional[float]
-    b1: Optional[float]
-    b2: Optional[float]
-    b3: Optional[float]
     theta1_sq: float
     theta2_sq: float
     theta3_sq: float
@@ -226,12 +207,6 @@ class GapVariance:
     mean_scalars: Tuple[float, ...]
 
     def __post_init__(self):
-        components = (self.a1, self.a2, self.a31, self.a32, self.b1, self.b2, self.b3)
-        if None not in components:
-            assembled = (self.a1 + self.a2 + self.a31 + self.a32
-                         + 2.0 * (self.b1 + self.b2 + self.b3))
-            if abs(assembled - self.theta1_sq) > 1e-9 * max(1.0, abs(assembled)):
-                raise NumericalError("variance assembly inconsistent")
         for name, value in (("theta1_sq", self.theta1_sq),
                             ("theta2_sq", self.theta2_sq),
                             ("theta3_sq", self.theta3_sq)):
@@ -250,10 +225,6 @@ class GapVariance:
         return self.theta1_sq + self.theta3_sq
 
 
-# ---------------------------------------------------------------------------
-# empirical (influence-vector) route
-
-
 def _influence(kernels: KernelSet):
     """phi(x) = g(x) - (B(x) - E B) for an empirical binding, where
     B(x) = (1/n) sum of q(X_k) over X_k >= x is a suffix sum of q over the
@@ -269,28 +240,18 @@ def _influence(kernels: KernelSet):
     return lambda at: kernels.g(at) - (bridge(at) - mean_b)
 
 
-def _empirical_gap_variance(part: SubgroupPartition, config: PovertyConfig,
-                            index_functional: IndexFunctional) -> GapVariance:
+def _empirical_gap_influence(part: SubgroupPartition,
+                             config: PovertyConfig) -> Tuple[float, list]:
     # For x in group h the gap's influence is a_h(x) - (T_h - sum_i p_i T_i)
     # with a_h = phi_pool - phi_h; theta1^2 is its within-group part.
     phi_pool = _influence(KernelSet(part.pooled, config))
-    p = part.weights
-    theta1 = 0.0
-    mean_scalars = []
-    gap_scalars = []
-    for weight, grp in zip(p, part.groups):
+    theta1, mean_scalars = 0.0, []
+    for weight, grp in zip(part.weights, part.groups):
         x = grp.dist.sorted_values
         a = phi_pool(x) - _influence(KernelSet(grp.dist, config))(x)
         theta1 += weight * float(a.var())
-        m_h = float(a.mean())
-        mean_scalars.append(m_h)
-        gap_scalars.append(m_h - index_functional(grp.dist))
-
-    theta2 = _weighted_variance(gap_scalars, p)
-    theta3 = _weighted_variance(mean_scalars, p)
-    return GapVariance(None, None, None, None, None, None, None,
-                       theta1, theta2, theta3,
-                       tuple(gap_scalars), tuple(mean_scalars))
+        mean_scalars.append(float(a.mean()))
+    return theta1, mean_scalars
 
 
 def _weighted_variance(values: Sequence[float], weights: np.ndarray) -> float:
@@ -300,186 +261,11 @@ def _weighted_variance(values: Sequence[float], weights: np.ndarray) -> float:
     return float(np.dot(weights, deviations * deviations))
 
 
-# ---------------------------------------------------------------------------
-# analytic (quadrature) route
-
-
-def _analytic_gap_variance(part: SubgroupPartition, config: PovertyConfig,
-                           quad: QuadratureSettings,
-                           index_functional: IndexFunctional) -> GapVariance:
-    k_glob = KernelSet(part.pooled, config, quad)
-    groups = part.groups
-    k = len(groups)
-    p = np.array([g.weight for g in groups])
-    kernels = [KernelSet(g.dist, config, quad) for g in groups]
-    quantiles = [g.dist.quantile for g in groups]
-    cdfs = [g.dist.cdf for g in groups]
-    s_star = [ki.s_poor for ki in kernels]
-    inner = quad.tighter()
-
-    def d_fn(i: int, t: float) -> float:
-        x = float(quantiles[i](t))
-        return float(k_glob.g(x) - kernels[i].g(x))
-
-    def c_fn(i: int, s: float) -> float:
-        return float(k_glob.q(quantiles[i](s)))
-
-    def w_fn(i: int, s: float) -> float:
-        x = float(quantiles[i](s))
-        return p[i] * float(k_glob.q(x)) - float(kernels[i].q(x))
-
-    # A1: per-group variance of (g - g_i), linear tails folded in exactly.
-    a1 = 0.0
-    for i in range(k):
-        brk = [s_star[i]]
-        mean_d = integrate(lambda t: d_fn(i, t), 0.0, 1.0, quad, breakpoints=brk)
-        mean_d2 = integrate(lambda t: d_fn(i, t) ** 2, 0.0, 1.0, quad, breakpoints=brk)
-        a1 += p[i] * (mean_d2 - mean_d ** 2)
-
-    # A2: bridge quadratic form of (p_i q - q_i) along the group quantile.
-    a2 = 0.0
-    for i in range(k):
-        hi = s_star[i]
-        if hi <= 0.0:
-            continue
-
-        def low_part(s, i=i, hi=hi):
-            return integrate(lambda t: t * w_fn(i, t), 0.0, s, inner)
-
-        def high_part(s, i=i, hi=hi):
-            return integrate(lambda t: (1.0 - t) * w_fn(i, t), s, hi, inner)
-
-        a2 += p[i] * integrate(
-            lambda s: w_fn(i, s) * ((1.0 - s) * low_part(s) + s * high_part(s)),
-            0.0, hi, quad)
-
-    # A31: same-group pair, kernel warped by the foreign CDF F_h.
-    a31 = 0.0
-    for i in range(k):
-        hi = s_star[i]
-        if hi <= 0.0:
-            continue
-        for h in range(k):
-            if h == i:
-                continue
-
-            def phi(t, i=i, h=h):
-                return float(cdfs[h](quantiles[i](t)))
-
-            def warped_prefix(s, i=i, h=h):
-                return integrate(lambda t: c_fn(i, t) * phi(t), 0.0, s, inner)
-
-            cross = integrate(lambda s: c_fn(i, s) * warped_prefix(s), 0.0, hi, quad)
-            mean_warped = integrate(lambda t: c_fn(i, t) * phi(t), 0.0, hi, quad)
-            a31 += p[i] ** 2 * p[h] * (2.0 * cross - mean_warped ** 2)
-
-    # A32: distinct-group pair against a third group's CDF.
-    a32 = 0.0
-    for i in range(k):
-        if s_star[i] <= 0.0:
-            continue
-        for j in range(k):
-            if j == i or s_star[j] <= 0.0:
-                continue
-            for h in range(k):
-                if h in (i, j):
-                    continue
-                a32 += p[i] * p[j] * p[h] * _analytic_cross_bridge(
-                    lambda s: c_fn(i, s), lambda t: c_fn(j, t),
-                    lambda s: float(cdfs[h](quantiles[i](s))),
-                    lambda t: float(cdfs[h](quantiles[j](t))),
-                    lambda s: float(cdfs[j](quantiles[i](s))),
-                    s_star[i], s_star[j], quad, inner)
-
-    # D_i(s) = int_0^s (g - g_i)(Q_i); the common ingredient of B1/B3.
-    def d_prefix(i: int, s: float) -> float:
-        return integrate(lambda t: d_fn(i, t), 0.0, s, inner,
-                         breakpoints=[s_star[i]])
-
-    d_total = [integrate(lambda t: d_fn(i, t), 0.0, 1.0, quad,
-                         breakpoints=[s_star[i]]) for i in range(k)]
-
-    b1 = 0.0
-    for i in range(k):
-        hi = s_star[i]
-        if hi <= 0.0:
-            continue
-        b1 -= p[i] * integrate(
-            lambda s: w_fn(i, s) * (d_prefix(i, s) - s * d_total[i]),
-            0.0, hi, quad)
-
-    b2 = 0.0
-    b3 = 0.0
-    for i in range(k):
-        for j in range(k):
-            if j == i or s_star[j] <= 0.0:
-                continue
-
-            def phi_ij(t, i=i, j=j):
-                return float(cdfs[i](quantiles[j](t)))
-
-            if s_star[i] > 0.0:
-                def w_bridge(b, i=i):
-                    return integrate(
-                        lambda s: w_fn(i, s) * (min(s, b) - s * b),
-                        0.0, s_star[i], inner, breakpoints=[b])
-
-                b2 += p[i] * p[j] * integrate(
-                    lambda t: c_fn(j, t) * w_bridge(phi_ij(t)),
-                    0.0, s_star[j], quad)
-
-            b3 -= p[i] * p[j] * integrate(
-                lambda t: c_fn(j, t) * (d_prefix(i, phi_ij(t))
-                                        - phi_ij(t) * d_total[i]),
-                0.0, s_star[j], quad)
-
-    theta1 = a1 + a2 + a31 + a32 + 2.0 * (b1 + b2 + b3)
-
-    slope = 2.0 * k_glob.p_h / k_glob.mu ** 2
-    mean_scalars = []
-    gap_scalars = []
-    for h in range(k):
-        hi = s_star[h]
-        head_g = integrate(lambda t: float(k_glob.g(quantiles[h](t))), 0.0, hi, quad)
-        head_q = integrate(lambda t: float(quantiles[h](t)), 0.0, hi, quad)
-        e_g = head_g + slope * (groups[h].dist.mean - head_q)
-        mixed_moment = 0.0
-        for i in range(k):
-            if s_star[i] <= 0.0:
-                continue
-            mixed_moment += p[i] * integrate(
-                lambda t: float(cdfs[h](quantiles[i](t))) * c_fn(i, t),
-                0.0, s_star[i], quad)
-        m_h = e_g - mixed_moment
-        mean_scalars.append(m_h)
-        gap_scalars.append(m_h - index_functional(groups[h].dist))
-
-    theta2 = _weighted_variance(gap_scalars, p)
-    theta3 = _weighted_variance(mean_scalars, p)
-    return GapVariance(a1, a2, a31, a32, b1, b2, b3, theta1, theta2, theta3,
-                       tuple(gap_scalars), tuple(mean_scalars))
-
-
-def _analytic_cross_bridge(c_i, c_j, phi_i, phi_j, crossing, hi_i, hi_j,
-                           quad, inner) -> float:
-    """Double integral of c_i(s) c_j(t) [min(phi_i(s), phi_j(t)) -
-    phi_i(s) phi_j(t)]; the inner integrand kinks where phi_j crosses
-    phi_i(s), which happens at t = F_j(Q_i(s)) by monotonicity."""
-
-    def inner_at(s: float) -> float:
-        a = phi_i(s)
-        return integrate(lambda t: c_j(t) * (min(a, phi_j(t)) - a * phi_j(t)),
-                         0.0, hi_j, inner, breakpoints=[crossing(s)])
-
-    return integrate(lambda s: c_i(s) * inner_at(s), 0.0, hi_i, quad)
-
-
 def gap_variance(part: SubgroupPartition, config: PovertyConfig,
                  quad: QuadratureSettings = DEFAULT_QUADRATURE,
                  index_functional: Optional[IndexFunctional] = None) -> GapVariance:
-    """The three thetas, with the seven within/cross components on the
-    analytic route (None on the empirical route, where theta1^2 >= 0 by
-    construction).
+    """The three thetas and the per-group scalars, on the empirical or the
+    analytic route by the partition kind.
 
     index_functional maps a subgroup distribution to the scalar the gap
     scalars subtract; the default is the Takayama index itself (empirical
@@ -489,8 +275,16 @@ def gap_variance(part: SubgroupPartition, config: PovertyConfig,
         def index_functional(dist: GroupDistribution) -> float:
             return _default_index(dist, config, quad)
     if part.is_empirical:
-        return _empirical_gap_variance(part, config, index_functional)
-    return _analytic_gap_variance(part, config, quad, index_functional)
+        theta1, mean_scalars = _empirical_gap_influence(part, config)
+    else:
+        theta1, mean_scalars = gap_influence([g.dist for g in part.groups], part.weights,
+                                             part.pooled.mean, config, quad)
+    gap_scalars = [m_h - index_functional(g.dist)
+                   for m_h, g in zip(mean_scalars, part.groups)]
+    p = part.weights
+    return GapVariance(theta1, _weighted_variance(gap_scalars, p),
+                       _weighted_variance(mean_scalars, p),
+                       tuple(gap_scalars), tuple(mean_scalars))
 
 
 def recompose_interval(weighted_local_sum: float,

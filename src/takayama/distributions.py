@@ -3,8 +3,9 @@
 Shipped families: uniform, exponential, lognormal, Pareto, and finite
 mixtures.  Every family exposes an increasing CDF together with its exact
 inverse, so population functionals can be evaluated by quadrature in
-quantile space without densities.  scipy is imported by the factories that
-need it (lognormal, mixture), not with this module.
+quantile space without densities; a mixture keeps its plain components,
+so those functionals never invert its CDF.  scipy is imported by lognormal
+and by the first call of a mixture's quantile, not with this module.
 """
 from __future__ import annotations
 
@@ -22,7 +23,8 @@ class AnalyticDistribution:
     support is the closed interval carrying all mass (upper end may be
     inf).  second_moment is E[X^2] when known in closed form (inf when it
     diverges); population variance formulas fall back to quadrature when it
-    is None.
+    is None.  components holds the (weight, plain law) parts of a finite
+    mixture and is empty for a plain law.
     """
     cdf: Callable[[np.ndarray], np.ndarray]
     quantile: Callable[[np.ndarray], np.ndarray]
@@ -30,6 +32,7 @@ class AnalyticDistribution:
     identifier: str
     support: Tuple[float, float] = (0.0, math.inf)
     second_moment: Optional[float] = None
+    components: Tuple[Tuple[float, "AnalyticDistribution"], ...] = ()
 
     def __post_init__(self):
         if not self.mean > 0:
@@ -115,8 +118,11 @@ def pareto(scale: float, shape: float) -> AnalyticDistribution:
 
 def mixture(components: Sequence[AnalyticDistribution],
             weights: Sequence[float]) -> AnalyticDistribution:
-    """Finite mixture sum(p_i * F_i); the quantile inverts the CDF numerically
-    (bracketed bisection to ~1e-13)."""
+    """Finite mixture sum(p_i * F_i), flattened into its plain components.
+
+    The quantile inverts the CDF numerically (brentq to ~1e-13), importing
+    scipy on its first call; the population functionals never call it.
+    """
     comps = tuple(components)
     w = np.asarray(weights, dtype=float)
     if len(comps) != w.size or len(comps) == 0:
@@ -125,7 +131,8 @@ def mixture(components: Sequence[AnalyticDistribution],
         raise ValueError("mixture weights must be positive")
     if abs(w.sum() - 1.0) > 1e-12:
         raise ValueError(f"mixture weights must sum to 1, got {w.sum()!r}")
-    from scipy.optimize import brentq
+    parts = tuple((float(p) * q, part) for p, comp in zip(w, comps)
+                  for q, part in (comp.components or ((1.0, comp),)))
 
     def cdf(x):
         x = np.asarray(x, dtype=float)
@@ -135,6 +142,7 @@ def mixture(components: Sequence[AnalyticDistribution],
         return total
 
     def _invert_one(s: float) -> float:
+        from scipy.optimize import brentq
         qs = [float(comp.quantile(s)) for comp in comps]
         lo, hi = min(qs), max(qs)
         if hi - lo <= 1e-15 * max(1.0, abs(hi)):
@@ -155,7 +163,7 @@ def mixture(components: Sequence[AnalyticDistribution],
     hi = max(c.support[1] for c in comps)
     label = "mixture(" + ", ".join(f"{p:g}*{c.identifier}" for p, c in zip(w, comps)) + ")"
     return AnalyticDistribution(cdf, quantile, mean, label, support=(lo, hi),
-                                second_moment=m2)
+                                second_moment=m2, components=parts)
 
 
 def require_finite_second_moment(dist: AnalyticDistribution) -> None:

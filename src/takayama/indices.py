@@ -9,8 +9,9 @@ full-sample mean.  Its population counterpart is
 
     T = 1 - (2 / mu) * integral of x (1 - F(x)) over incomes below the line,
 
-evaluated here in quantile space so no density is required.  The FGT family
-serves as the exactly decomposable benchmark.
+evaluated over each mixture component's quantile so no density is
+required (see population).  The FGT family serves as the exactly
+decomposable benchmark.
 """
 from __future__ import annotations
 
@@ -20,7 +21,8 @@ from typing import Optional
 import numpy as np
 
 from .distributions import AnalyticDistribution
-from .quadrature import DEFAULT_QUADRATURE, QuadratureSettings, integrate
+from .population import bind
+from .quadrature import DEFAULT_QUADRATURE, QuadratureSettings
 from .samples import EmpiricalDistribution, PovertyConfig, poor_count
 
 TAKAYAMA_EMPIRICAL = "takayama-empirical"
@@ -60,16 +62,10 @@ def takayama_rows(sorted_rows: np.ndarray, means: np.ndarray,
 
 def takayama_population(dist: AnalyticDistribution, config: PovertyConfig,
                         quad: QuadratureSettings = DEFAULT_QUADRATURE) -> IndexValue:
-    """Evaluate T by adaptive quadrature of q(s) = Q(s) (1 - s) on (0, F(Z)]."""
-    s_z = float(dist.cdf(config.poverty_line))
-    if s_z <= 0.0:
-        return IndexValue(1.0, TAKAYAMA_POPULATION)
-
-    def integrand(s: float) -> float:
-        return float(dist.quantile(s)) * (1.0 - s)
-
-    partial = integrate(integrand, 0.0, s_z, quad)
-    return IndexValue(1.0 - 2.0 * partial / dist.mean, TAKAYAMA_POPULATION)
+    """Evaluate T = 1 - 2 P(h) / mu, with P(h) the integral of
+    x (1 - F(x)) over each component's quantile below the line."""
+    law = bind(dist, config, quad)
+    return IndexValue(1.0 - 2.0 * law.p_h / law.mu, TAKAYAMA_POPULATION)
 
 
 def fgt_index(dist: EmpiricalDistribution, config: PovertyConfig,

@@ -7,20 +7,27 @@ and influence values term by term, the cell-sum gap variance evaluates
 the seven A/B components of an empirical partition over quantile cells,
 the row-wise CSV reader checks the vectorised one, and the one-replicate-
 at-a-time study loop (with its own index, plug-in variance and draws)
-checks the chunked replicate engine.
+checks the chunked replicate engine.  The nested quadratures of the
+population variance and of the analytic gap variance's seven components,
+on scipy's QUADPACK and the mixture's brentq quantile, check the 1-D
+influence quadratures of takayama.population.
 """
 from __future__ import annotations
 
 import csv
+import math
+import warnings
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
 from takayama.asymptotics import (KernelSet, VarianceDecomposition,
                                   bridge_quadratic_step, confidence_interval)
-from takayama.decomposition import (GapVariance, _weighted_variance, decomposability_gap,
+from takayama.decomposition import (_weighted_variance, decomposability_gap,
                                     gap_variance, partition)
-from takayama.errors import DataFormatError, NumericalError
+from takayama.errors import DataFormatError, NumericalError, QuadratureError
 from takayama.indices import IndexValue, takayama_empirical, takayama_population
 from takayama.io import RunConfig
 from takayama.montecarlo import (TARGET_TAKAYAMA, ReplicateRecords, _as_mixture,
@@ -31,7 +38,6 @@ from takayama.samples import IncomeSample, build_empirical, poor_count
 
 def bisection_normal_quantile(p: float, tol: float = 1e-12) -> float:
     """Invert the erfc-based normal CDF by plain bisection."""
-    import math
     lo, hi = -40.0, 40.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -126,7 +132,46 @@ def gap_variance_influence_oracle(groups, weights, config,
     return moments(True), moments(False)
 
 
-def cell_sum_gap_variance_oracle(part, config, index_functional=None) -> GapVariance:
+@dataclass(frozen=True)
+class GapComponents:
+    """theta1^2 through the paper's seven within- and cross-group
+    components, theta1^2 = A1 + A2 + A31 + A32 + 2 (B1 + B2 + B3), with
+    theta2^2, theta3^2 and the per-group scalars.
+
+    B1 and B3 are covariances between the mean-level kernel difference
+    (g - g_i) and bridge-integral terms; like sigma12 they inherit a
+    leading minus sign from the residual term, and the per-group scalars
+    subtract (not add) the mixed moment E[F_h(X^i) q(X^i)].
+    """
+    a1: float
+    a2: float
+    a31: float
+    a32: float
+    b1: float
+    b2: float
+    b3: float
+    theta1_sq: float
+    theta2_sq: float
+    theta3_sq: float
+    gap_scalars: Tuple[float, ...]
+    mean_scalars: Tuple[float, ...]
+
+    def __post_init__(self):
+        assembled = (self.a1 + self.a2 + self.a31 + self.a32
+                     + 2.0 * (self.b1 + self.b2 + self.b3))
+        if abs(assembled - self.theta1_sq) > 1e-9 * max(1.0, abs(assembled)):
+            raise NumericalError("variance assembly inconsistent")
+
+    @property
+    def gap_centered_total(self) -> float:
+        return self.theta1_sq + self.theta2_sq
+
+    @property
+    def mixed_centered_total(self) -> float:
+        return self.theta1_sq + self.theta3_sq
+
+
+def cell_sum_gap_variance_oracle(part, config, index_functional=None) -> GapComponents:
     """The seven A/B components and three thetas of an empirical partition,
     each integral summed exactly over quantile cells (O(K^3 n) loops).
 
@@ -249,8 +294,8 @@ def cell_sum_gap_variance_oracle(part, config, index_functional=None) -> GapVari
 
     theta2 = _weighted_variance(gap_scalars, p)
     theta3 = _weighted_variance(mean_scalars, p)
-    return GapVariance(a1, a2, a31, a32, b1, b2, b3, theta1, theta2, theta3,
-                       tuple(gap_scalars), tuple(mean_scalars))
+    return GapComponents(a1, a2, a31, a32, b1, b2, b3, theta1, theta2, theta3,
+                         tuple(gap_scalars), tuple(mean_scalars))
 
 
 def brute_force_gap_thetas(values, labels, config):
@@ -466,3 +511,303 @@ def bootstrap_variance_loop_oracle(values, config, resamples: int, seed: int) ->
         draw = values[rng.integers(0, n, n)]
         stats[b] = takayama_empirical_oracle(build_empirical(IncomeSample(draw)), config).value
     return n * float(stats.var(ddof=1))
+
+
+# ---------------------------------------------------------------------------
+# nested quadrature of the population variance and the seven gap components
+
+
+def _quad(fn, lo: float, hi: float, settings: QuadratureSettings, breakpoints=()) -> float:
+    """scipy quad of a scalar integrand to the settings' tolerance, raising
+    QuadratureError when the error estimate exceeds it."""
+    if hi <= lo:
+        return 0.0
+    pts = sorted(p for p in breakpoints if lo < p < hi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        value, abserr = quad(fn, lo, hi, epsabs=max(settings.abs_tol, 1e-14),
+                             epsrel=settings.rel_tol, limit=settings.max_subdivisions,
+                             points=pts if pts else None)
+    tol = max(settings.abs_tol, settings.rel_tol * abs(value))
+    if abserr > tol:
+        raise QuadratureError(f"quadrature did not converge: achieved {abserr:.3e}, "
+                              f"requested {tol:.3e}")
+    return value
+
+
+def _kinks(dist, laws) -> list:
+    """F at the finite support ends of the laws: where integrands along
+    the quantile of dist kink."""
+    ends = [e for law in laws for e in law.support if math.isfinite(e)]
+    return [float(dist.cdf(e)) for e in ends]
+
+
+class _NestedKernels:
+    """g and q of one analytic law, with P(h) and E g by scalar quadrature
+    along the law's own quantile (brentq for a mixture)."""
+
+    def __init__(self, dist, config, settings: QuadratureSettings):
+        self.config = config
+        self.mu = dist.mean
+        self.cdf = dist.cdf
+        self.s_poor = float(np.clip(dist.cdf(config.poverty_line), 0.0, 1.0))
+        quantile = dist.quantile
+        self.kinks = _kinks(dist, [law for _, law in dist.components])
+        self.p_h = _quad(lambda s: float(quantile(s)) * (1.0 - s), 0.0, self.s_poor, settings,
+                         self.kinks)
+        head_g = _quad(lambda s: float(self.g(quantile(s))), 0.0, self.s_poor, settings,
+                       self.kinks)
+        head_q = _quad(lambda s: float(quantile(s)), 0.0, self.s_poor, settings, self.kinks)
+        self.p_g = head_g + (2.0 * self.p_h / self.mu ** 2) * (self.mu - head_q)
+
+    def g(self, x):
+        x = np.asarray(x, dtype=float)
+        h = x * (1.0 - np.asarray(self.cdf(x), dtype=float)) * self.config.poor_mask(x)
+        return 2.0 * (self.p_h * x / self.mu ** 2 - h / self.mu)
+
+    def q(self, x):
+        x = np.asarray(x, dtype=float)
+        return -2.0 * x * self.config.poor_mask(x) / self.mu
+
+
+def nested_sigma_oracle(dist, config,
+                        settings: QuadratureSettings = QuadratureSettings()
+                        ) -> VarianceDecomposition:
+    """sigma1^2, sigma2^2 and sigma12 by nested quadrature in the law's
+    quantile space: the bridge forms as double integrals over the unit
+    square, inner integrals at a tenth of the tolerance."""
+    kernels = _NestedKernels(dist, config, settings)
+    s_z = kernels.s_poor
+    if s_z <= 0.0:
+        return VarianceDecomposition.assemble(0.0, 0.0, 0.0)
+    quantile = dist.quantile
+    inner = settings.tighter()
+    kinks = kernels.kinks
+
+    # sigma1^2 = E g^2 - (E g)^2, tail handled through the linear branch.
+    head_g2 = _quad(lambda s: float(kernels.g(quantile(s))) ** 2, 0.0, s_z, settings, kinks)
+    slope = 2.0 * kernels.p_h / kernels.mu ** 2
+    if dist.second_moment is not None:
+        head_q2 = _quad(lambda s: float(quantile(s)) ** 2, 0.0, s_z, inner, kinks)
+        tail_g2 = slope ** 2 * (dist.second_moment - head_q2)
+    else:
+        tail_g2 = slope ** 2 * _quad(lambda s: float(quantile(s)) ** 2, s_z, 1.0, settings,
+                                     kinks)
+    sigma1 = head_g2 + tail_g2 - kernels.p_g ** 2
+
+    def nu(s: float) -> float:
+        return -2.0 * float(quantile(s)) / kernels.mu
+
+    # sigma2^2 over the two triangles around the diagonal.
+    def low_part(s: float) -> float:
+        return _quad(lambda t: t * nu(t), 0.0, s, inner, kinks)
+
+    def high_part(s: float) -> float:
+        return _quad(lambda t: (1.0 - t) * nu(t), s, s_z, inner, kinks)
+
+    sigma2 = _quad(lambda s: nu(s) * ((1.0 - s) * low_part(s) + s * high_part(s)),
+                   0.0, s_z, settings, kinks)
+
+    # sigma12 = - int nu(s) (int_0^s g(Q) dt - s E g) ds.
+    def partial_g(s: float) -> float:
+        return _quad(lambda t: float(kernels.g(quantile(t))), 0.0, s, inner, kinks)
+
+    sigma12 = -_quad(lambda s: nu(s) * (partial_g(s) - s * kernels.p_g), 0.0, s_z, settings,
+                     kinks)
+    return VarianceDecomposition.assemble(sigma1, sigma2, sigma12)
+
+
+def nested_gap_variance_oracle(part, config,
+                               settings: QuadratureSettings = QuadratureSettings(),
+                               index_functional=None) -> GapComponents:
+    """The seven A/B components of an analytic partition by nested
+    quadrature (three levels deep for A32), the pooled kernels along the
+    mixture's brentq quantile, and theta1^2 assembled from them."""
+    k_glob = _NestedKernels(part.pooled, config, settings)
+    groups = part.groups
+    k = len(groups)
+    p = np.array([g.weight for g in groups])
+    kernels = [_NestedKernels(g.dist, config, settings) for g in groups]
+    if index_functional is None:
+        def index_functional(dist):
+            kernel = kernels[[g.dist for g in groups].index(dist)]
+            return 1.0 - 2.0 * kernel.p_h / kernel.mu
+    quantiles = [g.dist.quantile for g in groups]
+    cdfs = [g.dist.cdf for g in groups]
+    s_star = [ki.s_poor for ki in kernels]
+    inner = settings.tighter()
+    # Integrands along group i's quantile kink at F_i(support ends).
+    kinks = [_kinks(g.dist, [other.dist for other in groups]) for g in groups]
+
+    def d_fn(i: int, t: float) -> float:
+        x = float(quantiles[i](t))
+        return float(k_glob.g(x) - kernels[i].g(x))
+
+    def c_fn(i: int, s: float) -> float:
+        return float(k_glob.q(quantiles[i](s)))
+
+    def w_fn(i: int, s: float) -> float:
+        x = float(quantiles[i](s))
+        return p[i] * float(k_glob.q(x)) - float(kernels[i].q(x))
+
+    # A1: per-group variance of (g - g_i), linear tails folded in exactly.
+    a1 = 0.0
+    for i in range(k):
+        brk = [s_star[i], *kinks[i]]
+        mean_d = _quad(lambda t: d_fn(i, t), 0.0, 1.0, settings, brk)
+        mean_d2 = _quad(lambda t: d_fn(i, t) ** 2, 0.0, 1.0, settings, brk)
+        a1 += p[i] * (mean_d2 - mean_d ** 2)
+
+    # A2: bridge quadratic form of (p_i q - q_i) along the group quantile.
+    a2 = 0.0
+    for i in range(k):
+        hi = s_star[i]
+        if hi <= 0.0:
+            continue
+
+        def low_part(s, i=i):
+            return _quad(lambda t: t * w_fn(i, t), 0.0, s, inner, kinks[i])
+
+        def high_part(s, i=i, hi=hi):
+            return _quad(lambda t: (1.0 - t) * w_fn(i, t), s, hi, inner, kinks[i])
+
+        a2 += p[i] * _quad(
+            lambda s: w_fn(i, s) * ((1.0 - s) * low_part(s) + s * high_part(s)),
+            0.0, hi, settings, kinks[i])
+
+    # A31: same-group pair, kernel warped by the foreign CDF F_h.
+    a31 = 0.0
+    for i in range(k):
+        hi = s_star[i]
+        if hi <= 0.0:
+            continue
+        for h in range(k):
+            if h == i:
+                continue
+
+            def phi(t, i=i, h=h):
+                return float(cdfs[h](quantiles[i](t)))
+
+            def warped_prefix(s, i=i):
+                return _quad(lambda t: c_fn(i, t) * phi(t), 0.0, s, inner, kinks[i])
+
+            cross = _quad(lambda s: c_fn(i, s) * warped_prefix(s), 0.0, hi, settings,
+                          kinks[i])
+            mean_warped = _quad(lambda t: c_fn(i, t) * phi(t), 0.0, hi, settings, kinks[i])
+            a31 += p[i] ** 2 * p[h] * (2.0 * cross - mean_warped ** 2)
+
+    # A32: distinct-group pair against a third group's CDF; the inner
+    # integrand kinks where F_h(Q_j(t)) crosses F_h(Q_i(s)), at t = F_j(Q_i(s)).
+    a32 = 0.0
+    for i in range(k):
+        if s_star[i] <= 0.0:
+            continue
+        for j in range(k):
+            if j == i or s_star[j] <= 0.0:
+                continue
+            for h in range(k):
+                if h in (i, j):
+                    continue
+
+                def inner_at(s, i=i, j=j, h=h):
+                    a = float(cdfs[h](quantiles[i](s)))
+                    return _quad(lambda t: c_fn(j, t) * (min(a, float(cdfs[h](quantiles[j](t))))
+                                                         - a * float(cdfs[h](quantiles[j](t)))),
+                                 0.0, s_star[j], inner,
+                                 [float(cdfs[j](quantiles[i](s))), *kinks[j]])
+
+                a32 += p[i] * p[j] * p[h] * _quad(lambda s: c_fn(i, s) * inner_at(s),
+                                                  0.0, s_star[i], settings, kinks[i])
+
+    # D_i(s) = int_0^s (g - g_i)(Q_i); the common ingredient of B1/B3.
+    def d_prefix(i: int, s: float) -> float:
+        return _quad(lambda t: d_fn(i, t), 0.0, s, inner, [s_star[i], *kinks[i]])
+
+    d_total = [_quad(lambda t: d_fn(i, t), 0.0, 1.0, settings, [s_star[i], *kinks[i]])
+               for i in range(k)]
+
+    b1 = 0.0
+    for i in range(k):
+        hi = s_star[i]
+        if hi <= 0.0:
+            continue
+        b1 -= p[i] * _quad(lambda s: w_fn(i, s) * (d_prefix(i, s) - s * d_total[i]),
+                           0.0, hi, settings, kinks[i])
+
+    b2 = 0.0
+    b3 = 0.0
+    for i in range(k):
+        for j in range(k):
+            if j == i or s_star[j] <= 0.0:
+                continue
+
+            def phi_ij(t, i=i, j=j):
+                return float(cdfs[i](quantiles[j](t)))
+
+            if s_star[i] > 0.0:
+                def w_bridge(b, i=i):
+                    return _quad(lambda s: w_fn(i, s) * (min(s, b) - s * b),
+                                 0.0, s_star[i], inner, [b, *kinks[i]])
+
+                b2 += p[i] * p[j] * _quad(lambda t: c_fn(j, t) * w_bridge(phi_ij(t)),
+                                          0.0, s_star[j], settings, kinks[j])
+
+            b3 -= p[i] * p[j] * _quad(
+                lambda t: c_fn(j, t) * (d_prefix(i, phi_ij(t)) - phi_ij(t) * d_total[i]),
+                0.0, s_star[j], settings, kinks[j])
+
+    theta1 = a1 + a2 + a31 + a32 + 2.0 * (b1 + b2 + b3)
+
+    slope = 2.0 * k_glob.p_h / k_glob.mu ** 2
+    mean_scalars = []
+    gap_scalars = []
+    for h in range(k):
+        hi = s_star[h]
+        head_g = _quad(lambda t: float(k_glob.g(quantiles[h](t))), 0.0, hi, settings,
+                       kinks[h])
+        head_q = _quad(lambda t: float(quantiles[h](t)), 0.0, hi, settings, kinks[h])
+        e_g = head_g + slope * (groups[h].dist.mean - head_q)
+        mixed_moment = 0.0
+        for i in range(k):
+            if s_star[i] <= 0.0:
+                continue
+            mixed_moment += p[i] * _quad(
+                lambda t: float(cdfs[h](quantiles[i](t))) * c_fn(i, t), 0.0, s_star[i], settings,
+                kinks[i])
+        m_h = e_g - mixed_moment
+        mean_scalars.append(m_h)
+        gap_scalars.append(m_h - index_functional(groups[h].dist))
+
+    theta2 = _weighted_variance(gap_scalars, p)
+    theta3 = _weighted_variance(mean_scalars, p)
+    return GapComponents(a1, a2, a31, a32, b1, b2, b3, theta1, theta2, theta3,
+                         tuple(gap_scalars), tuple(mean_scalars))
+
+
+def sigma2_step_quadrature(nu_values: np.ndarray,
+                           settings: QuadratureSettings = QuadratureSettings()) -> float:
+    """Numerically integrate the bridge form for a step weight on the uniform
+    n-cell grid: an independent cross-check of the exact cell sums."""
+    nu_values = np.asarray(nu_values, dtype=float)
+    n = nu_values.size
+    grid = list(np.arange(1, n) / n)
+
+    def nu_step(s: float) -> float:
+        j = min(n, max(1, math.ceil(s * n)))
+        return float(nu_values[j - 1])
+
+    inner_settings = settings.tighter()
+
+    def inner(s: float) -> float:
+        return _quad(lambda t: nu_step(t) * (min(s, t) - s * t), 0.0, 1.0,
+                     inner_settings, [*grid, s])
+
+    return _quad(lambda s: nu_step(s) * inner(s), 0.0, 1.0, settings, grid)
+
+
+def nested_index_oracle(dist, config,
+                        settings: QuadratureSettings = QuadratureSettings()) -> float:
+    """T = 1 - 2 P(h) / mu with P(h) by scalar quadrature along the law's
+    own quantile (brentq for a mixture)."""
+    kernels = _NestedKernels(dist, config, settings)
+    return 1.0 - 2.0 * kernels.p_h / kernels.mu

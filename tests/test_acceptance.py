@@ -18,8 +18,10 @@ from takayama import (ConfidenceInterval, IncomeSample, KernelSet, MixtureModel,
                       fgt_index, gap_variance, ks_normality, partition,
                       population_truth, recompose_interval,
                       representation_residual, run_replicates,
-                      sigma2_step_quadrature, sigma_plugin,
-                      takayama_empirical, takayama_population, uniform)
+                      sigma_plugin, takayama_empirical, takayama_population,
+                      uniform)
+
+from _oracles import nested_gap_variance_oracle, sigma2_step_quadrature
 
 CFG1 = PovertyConfig(1.0)
 
@@ -161,9 +163,10 @@ def test_criterion_7_gap_limit():
 
     single = analytic_partition([("g", exponential(1.0), 1.0)])
     gv_single = gap_variance(single, CFG1)
-    single_components = (gv_single.a1, gv_single.a2, gv_single.a31, gv_single.a32,
-                         gv_single.b1, gv_single.b2, gv_single.b3,
-                         gv_single.theta1_sq, gv_single.theta2_sq,
+    nested_single = nested_gap_variance_oracle(single, CFG1)
+    single_components = (nested_single.a1, nested_single.a2, nested_single.a31,
+                         nested_single.a32, nested_single.b1, nested_single.b2,
+                         nested_single.b3, gv_single.theta1_sq, gv_single.theta2_sq,
                          gv_single.theta3_sq)
     identical = analytic_partition([("a", exponential(1.0), 0.5),
                                     ("b", exponential(1.0), 0.5)])

@@ -11,10 +11,10 @@ from takayama import (IncomeSample, KernelSet, NumericalError, PovertyConfig,
                       empirical_distribution_from_values, exponential,
                       kernel_eval, kolmogorov_critical_value, lognormal,
                       normal_quantile, pareto, representation_residual,
-                      sigma2_step_quadrature, sigma_analytic, sigma_plugin,
-                      takayama_population, uniform)
+                      sigma_analytic, sigma_plugin, takayama_population, uniform)
 
-from _oracles import bisection_normal_quantile, brute_force_sigma2
+from _oracles import (bisection_normal_quantile, brute_force_sigma2,
+                      sigma2_step_quadrature)
 
 CFG1 = PovertyConfig(1.0)
 

@@ -14,8 +14,9 @@ from takayama import (ConfidenceInterval, GapVariance, IncomeSample, KernelSet,
                       lognormal, partition, recompose_global,
                       recompose_interval, uniform, MixtureModel)
 
-from _oracles import (brute_force_gap_thetas, cell_sum_gap_variance_oracle,
-                      gap_variance_influence_oracle)
+from _oracles import (GapComponents, brute_force_gap_thetas,
+                      cell_sum_gap_variance_oracle, gap_variance_influence_oracle,
+                      nested_gap_variance_oracle)
 
 CFG1 = PovertyConfig(1.0)
 
@@ -158,7 +159,7 @@ def test_mixed_gap_with_sizes():
 # gap variance: degenerate cases
 
 
-def _flat(gv: GapVariance):
+def _flat(gv: GapComponents):
     return (gv.a1, gv.a2, gv.a31, gv.a32, gv.b1, gv.b2, gv.b3,
             gv.theta1_sq, gv.theta2_sq, gv.theta3_sq)
 
@@ -196,18 +197,20 @@ def test_gap_variance_single_group_all_zero_empirical(rng):
 
 def test_gap_variance_single_group_all_zero_analytic():
     part = analytic_partition([("g", exponential(1.0), 1.0)])
-    assert all(abs(v) < 1e-10 for v in _flat(gap_variance(part, CFG1)))
+    assert all(abs(v) < 1e-10 for v in _thetas(gap_variance(part, CFG1)))
+    assert all(abs(v) < 1e-10 for v in _flat(nested_gap_variance_oracle(part, CFG1)))
 
 
 def test_gap_variance_identical_groups_thetas_vanish_analytic():
     part = analytic_partition([("a", exponential(1.0), 0.5),
                                ("b", exponential(1.0), 0.5)])
-    gv = gap_variance(part, CFG1, QuadratureSettings(abs_tol=1e-11))
+    quad = QuadratureSettings(abs_tol=1e-11)
+    gv = gap_variance(part, CFG1, quad)
     assert abs(gv.theta1_sq) < 1e-10
     assert abs(gv.theta2_sq) < 1e-10
     assert abs(gv.theta3_sq) < 1e-10
     # the individual bridge components do not vanish; they cancel
-    assert gv.a2 > 1e-4
+    assert nested_gap_variance_oracle(part, CFG1, quad).a2 > 1e-4
 
 
 def test_gap_variance_identical_groups_thetas_vanish_empirical(rng):
@@ -229,18 +232,20 @@ def test_gap_variance_permutation_invariant(rng):
     assert gv1.theta1_sq == pytest.approx(gv2.theta1_sq, rel=1e-6, abs=1e-9)
     assert gv1.theta2_sq == pytest.approx(gv2.theta2_sq, rel=1e-6, abs=1e-9)
     assert gv1.theta3_sq == pytest.approx(gv2.theta3_sq, rel=1e-6, abs=1e-9)
+    nested1 = nested_gap_variance_oracle(analytic_partition(base), CFG1, quad)
+    nested2 = nested_gap_variance_oracle(analytic_partition(base[::-1]), CFG1, quad)
     for name in ("a1", "a2", "a31", "a32", "b1", "b2", "b3"):
-        assert getattr(gv1, name) == pytest.approx(getattr(gv2, name),
-                                                   rel=1e-6, abs=1e-9)
+        assert getattr(nested1, name) == pytest.approx(getattr(nested2, name),
+                                                       rel=1e-6, abs=1e-9)
 
 
 def test_gap_variance_inconsistent_assembly_rejected():
     with pytest.raises(NumericalError, match="inconsistent"):
-        GapVariance(1, 0, 0, 0, 0, 0, 0, theta1_sq=5.0, theta2_sq=0.0,
-                    theta3_sq=0.0, gap_scalars=(0.0,), mean_scalars=(0.0,))
+        GapComponents(1, 0, 0, 0, 0, 0, 0, theta1_sq=5.0, theta2_sq=0.0,
+                      theta3_sq=0.0, gap_scalars=(0.0,), mean_scalars=(0.0,))
     with pytest.raises(NumericalError, match="inconsistent"):
-        GapVariance(0, 0, 0, 0, 0, 0, 0, theta1_sq=0.0, theta2_sq=-1.0,
-                    theta3_sq=0.0, gap_scalars=(0.0,), mean_scalars=(0.0,))
+        GapVariance(theta1_sq=0.0, theta2_sq=-1.0, theta3_sq=0.0,
+                    gap_scalars=(0.0,), mean_scalars=(0.0,))
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +268,7 @@ def test_gap_variance_matches_influence_oracle_three_groups():
     weights = [0.5, 0.3, 0.2]
     part = analytic_partition(list(zip("012", groups, weights)))
     gv = gap_variance(part, CFG1)
-    assert abs(gv.a32) > 1e-5
+    assert abs(nested_gap_variance_oracle(part, CFG1).a32) > 1e-5
     v_gd, v_gd0 = gap_variance_influence_oracle(groups, weights, CFG1)
     assert gv.gap_centered_total == pytest.approx(v_gd, rel=5e-4)
     assert gv.mixed_centered_total == pytest.approx(v_gd0, rel=5e-4)

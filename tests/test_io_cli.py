@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import os
@@ -438,3 +439,34 @@ def test_cli_empirical_commands_load_no_scipy(argv, survey_csv, tmp_path):
             f"assert cli_dispatch({argv!r}) == 0\n")
     assert _scipy_modules_after(code) == "[]"
     assert "report" in (tmp_path / "report.txt").read_text(encoding="utf-8")
+
+
+def _solver_modules(loaded: str) -> list:
+    return [m for m in ast.literal_eval(loaded)
+            if m.startswith(("scipy.optimize", "scipy.integrate"))]
+
+
+@pytest.mark.parametrize("target", ["takayama", "gap"])
+def test_cli_simulate_loads_no_scipy_solvers(target, tmp_path):
+    argv = ["simulate", "--model", "uniform:0,1", "--model", "lognormal:0,0.8",
+            "--z", "1", "--n", "50", "--reps", "5", "--seed", "3", "--target", target,
+            "--output", str(tmp_path / "report.txt")]
+    code = ("from takayama.cli import cli_dispatch\n"
+            f"assert cli_dispatch({argv!r}) == 0\n")
+    assert _solver_modules(_scipy_modules_after(code)) == []
+
+
+def test_population_functionals_load_no_scipy_solvers():
+    code = ("from takayama import *\n"
+            "laws = [uniform(0, 1), exponential(1), lognormal(0, 0.8), pareto(1, 3)]\n"
+            "cfg = PovertyConfig(1.0)\n"
+            "pooled = mixture(laws, [0.25] * 4)\n"
+            "takayama_population(pooled, cfg)\n"
+            "sigma_analytic(pooled, cfg)\n"
+            "KernelSet(pooled, cfg)\n"
+            "part = analytic_partition(list(zip('abcd', laws, [0.25] * 4)))\n"
+            "decomposability_gap(part, cfg)\n"
+            "gap_variance(part, cfg)\n")
+    loaded = _scipy_modules_after(code)
+    assert "scipy.special" in loaded
+    assert _solver_modules(loaded) == []
