@@ -4,8 +4,9 @@ Shipped families: uniform, exponential, lognormal, Pareto, and finite
 mixtures.  Every family exposes an increasing CDF together with its exact
 inverse, so population functionals can be evaluated by quadrature in
 quantile space without densities; a mixture keeps its plain components,
-so those functionals never invert its CDF.  scipy is imported by lognormal
-and by the first call of a mixture's quantile, not with this module.
+so those functionals never invert its CDF.  The lognormal reads the
+package's numpy normal law (takayama.normal), accurate in both
+tails; scipy loads only on the first call of a mixture's quantile.
 """
 from __future__ import annotations
 
@@ -14,6 +15,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
+
+from .normal import ndtr, ndtri
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,18 +77,15 @@ def exponential(rate: float) -> AnalyticDistribution:
 def lognormal(mu: float, sigma: float) -> AnalyticDistribution:
     if not sigma > 0:
         raise ValueError(f"lognormal sigma must be positive, got {sigma}")
-    from scipy.special import erf, erfinv
-    root2 = math.sqrt(2.0)
 
     def cdf(x):
         x = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore"):
             z = (np.log(np.maximum(x, 1e-300)) - mu) / sigma
-        return np.where(x > 0, 0.5 * (1.0 + erf(z / root2)), 0.0)
+        return np.where(x > 0, ndtr(z), 0.0)
 
     def quantile(s):
-        s = np.asarray(s, dtype=float)
-        return np.exp(mu + sigma * root2 * erfinv(2.0 * s - 1.0))
+        return np.exp(mu + sigma * ndtri(s))
 
     return AnalyticDistribution(cdf, quantile, math.exp(mu + 0.5 * sigma * sigma),
                                 f"lognormal({mu:g},{sigma:g})",

@@ -28,7 +28,7 @@ from .decomposition import analytic_partition, decomposability_gap, gap_variance
 from .distributions import AnalyticDistribution, mixture, require_finite_second_moment
 from .errors import NumericalError
 from .indices import takayama_population, takayama_rows
-from .normal import kolmogorov_critical_value, normal_cdf, normal_quantile
+from .normal import kolmogorov_critical_value, ndtr, normal_quantile
 from .quadrature import DEFAULT_QUADRATURE, QuadratureSettings
 from .samples import IncomeSample, PovertyConfig, build_empirical, standardize
 
@@ -333,7 +333,7 @@ def ks_normality(values: Sequence[float] | np.ndarray,
         z = np.sort(standardize(arr))
     except NumericalError:
         return KsNormalityResult(math.inf, False, critical, alpha, n)
-    phi = np.array([normal_cdf(v) for v in z])
+    phi = ndtr(z)
     i = np.arange(1, n + 1)
     statistic = float(np.max(np.maximum(i / n - phi, phi - (i - 1) / n)))
     return KsNormalityResult(statistic, statistic <= critical, critical, alpha, n)

@@ -1,46 +1,103 @@
 """Standard-normal CDF/quantile and the Kolmogorov asymptotic critical value.
 
-The quantile uses Acklam's rational approximation polished with one Halley
-step against the erfc-based CDF, giving absolute error far below 1e-9 on
-(0, 1).  A bisection oracle is kept in the test suite.
+One vectorised pair, in numpy and the stdlib only, serves the whole
+package: `ndtr` is 0.5 * erfc(-z / sqrt 2), accurate to a few ulp in both
+tails, and `ndtri` is Wichura's AS241 (PPND16), the rational approximation
+behind `statistics.NormalDist.inv_cdf`, relative error about 1e-16 on
+(1e-300, 1).  ndtri(0) = -inf and ndtri(1) = inf; arguments outside [0, 1]
+give NaN.  The scalar `normal_cdf` and `normal_quantile` are thin calls of
+the pair.  A bisection oracle is kept in the test suite.
 """
 from __future__ import annotations
 
 import math
 
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
+import numpy as np
 
-_P_LOW = 0.02425
 _SQRT2 = math.sqrt(2.0)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+# AS241 coefficients, highest power first: the central branch |p - 1/2| <=
+# 0.425 in r = 0.180625 - (p - 1/2)^2, then the tail in r = sqrt(-log
+# min(p, 1 - p)) shifted by 1.6 (r <= 5) or by 5 (far tail).
+_CENTRAL_NUM = (2.5090809287301226727e+3, 3.3430575583588128105e+4,
+                6.7265770927008700853e+4, 4.5921953931549871457e+4,
+                1.3731693765509461125e+4, 1.9715909503065514427e+3,
+                1.3314166789178437745e+2, 3.3871328727963666080e+0)
+_CENTRAL_DEN = (5.2264952788528545610e+3, 2.8729085735721942674e+4,
+                3.9307895800092710610e+4, 2.1213794301586595867e+4,
+                5.3941960214247511077e+3, 6.8718700749205790830e+2,
+                4.2313330701600911252e+1, 1.0)
+_NEAR_NUM = (7.7454501427834140764e-4, 2.2723844989269184583e-2,
+             2.4178072517745061177e-1, 1.2704582524523683826e+0,
+             3.6478483247632046050e+0, 5.7694972214606914055e+0,
+             4.6303378461565452959e+0, 1.4234371107496835773e+0)
+_NEAR_DEN = (1.0507500716444168432e-9, 5.4759380849953449460e-4,
+             1.5198666563616457197e-2, 1.4810397642748007459e-1,
+             6.8976733498510000455e-1, 1.6763848301838038494e+0,
+             2.0531916266377588219e+0, 1.0)
+_FAR_NUM = (2.0103343992922881327e-7, 2.7115555687434875782e-5,
+            1.2426609473880784386e-3, 2.6532189526576123093e-2,
+            2.9656057182850489123e-1, 1.7848265399172913358e+0,
+            5.4637849111641143699e+0, 6.6579046435011037772e+0)
+_FAR_DEN = (2.0442631033899397856e-15, 1.4215117583164458887e-7,
+            1.8463183175100546818e-5, 7.8686913114561329059e-4,
+            1.4875361290850614853e-2, 1.3692988092273580531e-1,
+            5.9983220655588793769e-1, 1.0)
+
+
+def _ratio(num, den, x):
+    """The polynomials num(x) and den(x) by Horner's rule, in place on arrays."""
+    out = []
+    for coeffs in (num, den):
+        acc = x * coeffs[0]
+        acc += coeffs[1]
+        for c in coeffs[2:]:
+            acc *= x
+            acc += c
+        out.append(acc)
+    return out
+
+
+def ndtr(z) -> np.ndarray:
+    """Phi(z) elementwise, as an array of z's shape."""
+    z = np.asarray(z, dtype=float)
+    # frompyfunc hands back a Python float for a 0-d z; asarray keeps an array.
+    out = np.asarray(_erfc(-z / _SQRT2), dtype=float)
+    out *= 0.5
+    return out
+
+
+def ndtri(p) -> np.ndarray:
+    """Phi^{-1}(p) elementwise by AS241, as an array of p's shape."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim > 1:
+        return ndtri(p.reshape(-1)).reshape(p.shape)
+    q = p - 0.5
+    num, den = _ratio(_CENTRAL_NUM, _CENTRAL_DEN, 0.180625 - q * q)
+    x = np.asarray(q * num / den)
+    tail = ~(np.abs(q) <= 0.425)
+    if tail.any():
+        # Positions, not the mask: a mask gather and scatter cost several
+        # times more.  A 0-d p is used whole, as cheap numpy scalars.
+        sub = np.flatnonzero(tail) if p.ndim else ()
+        pt = p[sub]
+        low = np.minimum(pt, 1.0 - pt)
+        r = np.sqrt(-np.log(np.maximum(low, 5e-324)))
+        num, den = _ratio(_NEAR_NUM, _NEAR_DEN, r - 1.6)
+        far = r > 5.0
+        if far.any():
+            far_num, far_den = _ratio(_FAR_NUM, _FAR_DEN, r - 5.0)
+            num, den = np.where(far, far_num, num), np.where(far, far_den, den)
+        # min(p, 1 - p) = 0 is an infinite quantile; below 0 or NaN, none.
+        xt = np.where(low > 0.0, num / den, np.where(low == 0.0, math.inf, math.nan))
+        x[sub] = np.copysign(xt, q[sub])
+    return x
 
 
 def normal_cdf(x: float) -> float:
     """Phi(x), via erfc for accuracy in both tails."""
-    return 0.5 * math.erfc(-x / _SQRT2)
-
-
-def _acklam(p: float) -> float:
-    # The tail polynomials already carry the sign of the lower tail.
-    if p < _P_LOW:
-        t = math.sqrt(-2.0 * math.log(p))
-        return (((((_C[0] * t + _C[1]) * t + _C[2]) * t + _C[3]) * t + _C[4]) * t + _C[5]) / \
-            ((((_D[0] * t + _D[1]) * t + _D[2]) * t + _D[3]) * t + 1.0)
-    if p > 1.0 - _P_LOW:
-        t = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -(((((_C[0] * t + _C[1]) * t + _C[2]) * t + _C[3]) * t + _C[4]) * t + _C[5]) / \
-            ((((_D[0] * t + _D[1]) * t + _D[2]) * t + _D[3]) * t + 1.0)
-    t = p - 0.5
-    r = t * t
-    return (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * t / \
-        (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0)
+    return float(ndtr(x))
 
 
 def normal_quantile(p: float) -> float:
@@ -50,11 +107,7 @@ def normal_quantile(p: float) -> float:
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"normal quantile argument must lie in (0, 1), got {p}")
-    x = _acklam(p)
-    # One Halley step sharpens Acklam's ~1e-9 error to near machine precision.
-    err = normal_cdf(x) - p
-    u = err * _SQRT_2PI * math.exp(0.5 * x * x)
-    return x - u / (1.0 + 0.5 * x * u)
+    return float(ndtri(p))
 
 
 def kolmogorov_cdf(x: float, terms: int = 100) -> float:

@@ -10,7 +10,8 @@ at-a-time study loop (with its own index, plug-in variance and draws)
 checks the chunked replicate engine.  The nested quadratures of the
 population variance and of the analytic gap variance's seven components,
 on scipy's QUADPACK and the mixture's brentq quantile, check the 1-D
-influence quadratures of takayama.population.
+influence quadratures of takayama.population.  The influence-function gap
+oracle inverts the pooled mixture by vectorised bisection instead.
 """
 from __future__ import annotations
 
@@ -62,6 +63,24 @@ def brute_force_sigma2(nu_values: np.ndarray) -> float:
     return total
 
 
+def bisection_quantile(dist, s) -> np.ndarray:
+    """A law's quantile at the points s.  A mixture's is found by bisection
+    on its CDF, all points at once, bracketed by the component quantiles and
+    run to the tolerance of the mixture's own brentq quantile (xtol 1e-13,
+    rtol 8.9e-16)."""
+    s = np.asarray(s, dtype=float)
+    if not dist.components:
+        return np.asarray(dist.quantile(s), dtype=float)
+    qs = np.array([comp.quantile(s) for _, comp in dist.components])
+    lo, hi = qs.min(axis=0), qs.max(axis=0)
+    while np.any(hi - lo > 1e-13 + 8.9e-16 * np.abs(hi)):
+        mid = 0.5 * (lo + hi)
+        below = dist.cdf(mid) < s
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
 class _BridgeTail:
     """R(u) = integral of nu(s) over [min(u, s_z), s_z], on a dense grid."""
 
@@ -74,7 +93,7 @@ class _BridgeTail:
             return
         s = np.linspace(0.0, s_z, grid_points)
         mids = 0.5 * (s[1:] + s[:-1])
-        nu_mid = -2.0 * np.asarray(kernels.quantile(mids), dtype=float) / kernels.mu
+        nu_mid = -2.0 * bisection_quantile(kernels.source, mids) / kernels.mu
         steps = np.diff(s) * nu_mid
         cum = np.concatenate([[0.0], np.cumsum(steps)])
         # R(u) = total - cumulative up to u

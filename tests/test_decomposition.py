@@ -11,10 +11,10 @@ from takayama import (ConfidenceInterval, GapVariance, IncomeSample, KernelSet,
                       Subgroup, analytic_partition, build_empirical,
                       decomposability_gap, draw_mixture_sample,
                       empirical_cdf, exponential, fgt_index, gap_variance,
-                      lognormal, partition, recompose_global,
+                      lognormal, mixture, partition, recompose_global,
                       recompose_interval, uniform, MixtureModel)
 
-from _oracles import (GapComponents, brute_force_gap_thetas,
+from _oracles import (GapComponents, bisection_quantile, brute_force_gap_thetas,
                       cell_sum_gap_variance_oracle, gap_variance_influence_oracle,
                       nested_gap_variance_oracle)
 
@@ -272,6 +272,13 @@ def test_gap_variance_matches_influence_oracle_three_groups():
     v_gd, v_gd0 = gap_variance_influence_oracle(groups, weights, CFG1)
     assert gv.gap_centered_total == pytest.approx(v_gd, rel=5e-4)
     assert gv.mixed_centered_total == pytest.approx(v_gd0, rel=5e-4)
+
+
+def test_oracle_bisection_quantile_matches_mixture_brentq():
+    # the influence oracle's grid inverts the pooled mixture by bisection
+    pooled = mixture([exponential(1.0), exponential(0.5), uniform(0.0, 2.0)], [0.5, 0.3, 0.2])
+    s = np.linspace(0.0005, 0.9995, 200)
+    assert np.max(np.abs(bisection_quantile(pooled, s) - pooled.quantile(s))) <= 1e-12
 
 
 def test_empirical_gap_variance_consistent_with_analytic(rng):
