@@ -2,13 +2,11 @@
 decomposability-gap analysis on income microdata."""
 
 from .asymptotics import (ConfidenceInterval, KernelSet, PluginRows,
-                          VarianceDecomposition, bridge_cell_integral,
-                          bridge_quadratic_step, confidence_interval, kernel_eval,
-                          plugin_rows, representation_residual, sigma_analytic,
-                          sigma_plugin)
+                          VarianceDecomposition, confidence_interval, plugin_rows,
+                          representation_residual, sigma_analytic, sigma_plugin)
 from .decomposition import (GapEstimate, GapVariance, Subgroup, SubgroupPartition,
                             analytic_partition, decomposability_gap, gap_variance,
-                            partition, recompose_global, recompose_interval)
+                            partition, recompose_interval)
 from .distributions import (AnalyticDistribution, exponential, lognormal,
                             mixture, pareto, parse_distribution, uniform)
 from .errors import DataFormatError, NumericalError, QuadratureError
@@ -36,15 +34,15 @@ __all__ = [
     "QuadratureError", "QuadratureSettings", "ReplicateRecords",
     "ReplicateStudy", "Subgroup", "SubgroupPartition", "TAKAYAMA_EMPIRICAL",
     "TAKAYAMA_POPULATION", "VarianceDecomposition", "analytic_partition",
-    "bootstrap_variance", "bridge_cell_integral", "bridge_quadratic_step",
+    "bootstrap_variance",
     "build_empirical", "confidence_interval", "decomposability_gap",
     "draw_mixture_sample", "empirical_cdf", "empirical_distribution_from_values",
     "empirical_quantile", "exponential", "fgt_index", "gap_variance",
-    "integrate", "kernel_eval", "kolmogorov_critical_value", "ks_normality",
+    "integrate", "kolmogorov_critical_value", "ks_normality",
     "lognormal", "mixture", "normal_cdf", "normal_quantile", "pareto",
     "parse_distribution", "partition", "plugin_rows", "poor_count",
     "population_truth",
-    "recompose_global", "recompose_interval", "representation_residual",
+    "recompose_interval", "representation_residual",
     "run_replicates", "sigma_analytic",
     "sigma_plugin", "standardize", "takayama_empirical", "takayama_population",
     "takayama_rows", "uniform",

@@ -15,32 +15,37 @@ term
 
     beta_n = -(1/sqrt(n)) * sum_i (F_n(X_i) - F(X_i)) q(X_i),
 
-whose limit is the integral of a Brownian bridge against nu.  The limiting
-variance splits as
+whose limit is the integral of a Brownian bridge against nu.  Both terms
+are means of one influence function,
+
+    sqrt(n) (T_n - T) ~ (1/sqrt(n)) * sum_i phi(X_i),
+    phi(x) = g(x) - (B(x) - E B),  B(x) = int_{F(x)}^1 nu(s) ds,
+
+so the limiting variance is Var phi, and it splits as
 
     sigma^2 = sigma1^2 + sigma2^2 + 2 sigma12,
     sigma1^2 = Var g(X),
-    sigma2^2 = double integral of nu(s) nu(t) (min(s,t) - st),
-    sigma12  = - integral of nu(s) (int_{x <= F^{-1}(s)} g dF - s E g) ds.
+    sigma2^2 = Var B(X)    (the double integral of nu(s) nu(t) (min(s,t) - st)),
+    sigma12  = -Cov(g, B).
 
 Note the leading minus in sigma12: it carries the sign of beta_n.  Dropping
 it (an easy slip) inflates the variance by an order of magnitude; the
 Monte Carlo and coverage tests pin the sign down.
 
 The plug-in estimator replaces F by the empirical CDF and mu by the sample
-mean; every integral then has a closed form over the n quantile cells and
-is summed exactly below (no quadrature on the estimation path).  The sums
-are written once, row-wise: plugin_rows scores a stack of sorted samples
-along axis 1, and sigma_plugin is its one-row call.  The population values
-(sigma_analytic) are moments of the influence function phi = g - (B - E B)
-with B(x) = int_{F(x)}^1 nu: sigma1^2 = Var g, sigma2^2 = Var B and
-sigma12 = -Cov(g, B).
+mean, so B(x) becomes 1/n times the suffix sum of q over the sample values
+at and above x.  influence_rows computes g and B at every observation of
+a stack of sorted samples, row-wise in O(n); plugin_rows takes the
+variances as moments over those n values, and sigma_plugin is its one-row
+call.  The empirical gap variance (decomposition) reads the same core.
+The population values (sigma_analytic) are the same moments under F, by
+quadrature (see population).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -126,32 +131,10 @@ class KernelSet:
         return float(out) if np.isscalar(s) else out
 
 
-_KERNEL_TAGS = {"ell": "ell", "h": "h", "g": "g", "q": "q", "nu": "nu"}
-
-
-def kernel_eval(kernels: KernelSet, which: str, arg: float) -> float:
-    """Evaluate one named kernel; `which` is one of ell/h/g/q/nu."""
-    try:
-        name = _KERNEL_TAGS[which]
-    except KeyError:
-        raise ValueError(f"unknown kernel tag {which!r}; expected one of "
-                         f"{sorted(_KERNEL_TAGS)}") from None
-    if name != "nu" and arg < 0:
-        raise ValueError(f"kernel {which} takes a non-negative income, got {arg}")
-    return float(getattr(kernels, name)(arg))
-
-
 @dataclass(frozen=True)
 class VarianceDecomposition:
-    """sigma1^2, sigma2^2, sigma12 and the assembled total.
-
-    The squared components are non-negative by construction.  The assembled
-    total is a Gaussian variance in the limit, but the exact plug-in sums
-    can dip below zero at toy sample sizes (the bridge integrals live on
-    the continuous unit square while sigma1^2 averages over sample atoms,
-    an O(1/n) mismatch); callers building confidence intervals should clamp
-    at zero.
-    """
+    """sigma1^2, sigma2^2, sigma12 and the total sigma1^2 + sigma2^2 +
+    2 sigma12, the variance of the influence function phi."""
     sigma1_sq: float
     sigma2_sq: float
     sigma12: float
@@ -197,133 +180,96 @@ class ConfidenceInterval:
         return ConfidenceInterval(self.center + offset, self.half_width, self.level)
 
 
-def _bridge_min_antiderivative(u: float, v: float) -> float:
-    # integral of min(s, t) over [0,u] x [0,v]
-    w, z = (u, v) if u <= v else (v, u)
-    return 0.5 * w * w * z - w ** 3 / 6.0
-
-
-def bridge_cell_integral(a: float, b: float, c: float, d: float) -> float:
-    """Exact integral of min(s,t) - s t over the rectangle [a,b] x [c,d].
-
-    This is the Brownian-bridge covariance integrated in closed form; the
-    diagonal split is folded into the min antiderivative.
-    """
-    if not (0.0 <= a <= b <= 1.0 and 0.0 <= c <= d <= 1.0):
-        raise ValueError(f"rectangle [{a},{b}]x[{c},{d}] must sit inside the unit square")
-    m = (_bridge_min_antiderivative(b, d) - _bridge_min_antiderivative(a, d)
-         - _bridge_min_antiderivative(b, c) + _bridge_min_antiderivative(a, c))
-    return m - 0.25 * (b * b - a * a) * (d * d - c * c)
-
-
-def bridge_quadratic_step(step_values: np.ndarray) -> float:
-    """Exact value of the double integral of w(s) w(t) (min(s,t) - st) for a
-    step function w taking step_values on the uniform cell grid of [0, 1].
-
-    Diagonal cells use the closed-form square-cell integral; off-diagonal
-    cells factorize as s (1 - t), so one prefix sum gives the whole upper
-    triangle and the quadratic form costs O(n)."""
-    w_vals = np.asarray(step_values, dtype=float)
-    return float(_bridge_quadratic_rows(w_vals[np.newaxis, :], w_vals.size)[0])
-
-
-def _bridge_quadratic_rows(w: np.ndarray, n: int) -> np.ndarray:
-    """bridge_quadratic_step of every row of w on the n-cell grid.  w may
-    hold only the first q <= n cells when the rest of every row is zero."""
-    j = np.arange(1, w.shape[1] + 1, dtype=float)
-    cell_lo = (j - 1.0) / n
-    cell_hi = j / n
-    width = 1.0 / n
-    cell_s = (2.0 * j - 1.0) / (2.0 * n * n)  # integral of s over each cell
-
-    diag = (cell_hi ** 3 - cell_lo ** 3) / 3.0 - cell_lo ** 2 * width - cell_s ** 2
-    # Cells j < k contribute w_j s_j * w_k (width - s_k): a prefix sum over j.
-    before = np.cumsum(w * cell_s, axis=1)
-    return (np.einsum("ij,j->i", w * w, diag)
-            + 2.0 * np.einsum("ij,ij->i", (w * (width - cell_s))[:, 1:], before[:, :-1]))
-
-
-@dataclass(frozen=True)
-class PluginRows:
-    """Per-row output of plugin_rows: T_n, and the variance components when
-    they were asked for (None otherwise)."""
-    index: np.ndarray
-    sigma1_sq: Optional[np.ndarray] = None
-    sigma2_sq: Optional[np.ndarray] = None
-    sigma12: Optional[np.ndarray] = None
-
-    @property
-    def total(self) -> np.ndarray:
-        return self.sigma1_sq + self.sigma2_sq + 2.0 * self.sigma12
-
-
-def _last_tied_position(x: np.ndarray) -> Optional[np.ndarray]:
-    """For each entry of the ascending rows of x, the position of the last
-    entry equal to it (searchsorted side="right", minus one); None when no
-    row has ties, where that position is the entry's own."""
+def _tie_runs(x: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """For each entry of the ascending rows of x, the positions of the first
+    and of the last entry equal to it; None when no row has ties, where
+    both are the entry's own."""
     tied = x[:, 1:] == x[:, :-1]
     if not tied.any():
         return None
     n = x.shape[1]
+    positions = np.arange(n)
+    run_starts = np.zeros(x.shape, dtype=np.intp)
+    run_starts[:, 1:] = np.where(tied, 0, positions[1:])
     run_ends = np.full(x.shape, n - 1)
-    run_ends[:, :-1] = np.where(tied, n, np.arange(n - 1))
-    return np.minimum.accumulate(run_ends[:, ::-1], axis=1)[:, ::-1]
+    run_ends[:, :-1] = np.where(tied, n, positions[:-1])
+    return (np.maximum.accumulate(run_starts, axis=1),
+            np.minimum.accumulate(run_ends[:, ::-1], axis=1)[:, ::-1])
+
+
+def influence_rows(sorted_rows: np.ndarray, means: np.ndarray,
+                   config: PovertyConfig) -> Tuple[np.ndarray, np.ndarray]:
+    """The empirical influence core: g and B at every entry of an (m, n)
+    array of ascending samples, with means the row means.
+
+    h uses the right-continuous F_n, so tied values take the rank of the
+    last of them; B(x) is 1/n times the suffix sum of q over X_k >= x, so
+    tied values share one B.  h, q and B vanish past each row's poor
+    prefix, so all but g's linear term run over the longest prefix, q
+    entries: O(n) per row.  A poor value's ties lie inside its own row's
+    prefix, and a non-poor value's suffix sum is exactly zero.
+    """
+    x = sorted_rows
+    n = x.shape[1]
+    mu = means[:, np.newaxis]
+    poor = config.poor_mask(x)
+    q = int(np.count_nonzero(poor, axis=1).max())
+    x_q, poor = x[:, :q], poor[:, :q]
+    runs = _tie_runs(x_q)
+    f_at = np.arange(1, q + 1) / n if runs is None else (runs[1] + 1) / n
+    h_at = x_q * (1.0 - f_at) * poor
+    p_h = h_at.sum(axis=1, keepdims=True) / n
+    g = (2.0 * p_h / mu ** 2) * x
+    g[:, :q] -= (2.0 / mu) * h_at
+
+    q_at = (-2.0 / mu) * x_q * poor
+    suffix = np.cumsum(q_at[:, ::-1], axis=1)[:, ::-1] / n
+    b = np.zeros(x.shape)
+    b[:, :q] = suffix if runs is None else np.take_along_axis(suffix, runs[0], axis=1)
+    return g, b
+
+
+@dataclass(frozen=True)
+class PluginRows:
+    """Per-row output of plugin_rows: T_n, and the variance components and
+    their total when they were asked for (None otherwise)."""
+    index: np.ndarray
+    sigma1_sq: Optional[np.ndarray] = None
+    sigma2_sq: Optional[np.ndarray] = None
+    sigma12: Optional[np.ndarray] = None
+    total: Optional[np.ndarray] = None
 
 
 def plugin_rows(sorted_rows: np.ndarray, means: np.ndarray, config: PovertyConfig,
                 variance: bool = True) -> PluginRows:
-    """The plug-in core: T_n and sigma1^2, sigma2^2, sigma12 of every row of
-    an (m, n) array of ascending samples, with means the row means.
-
-    Every integral is summed exactly over the n quantile cells, along
-    axis 1: O(n) per row after sorting (prefix sums).  F_n is
-    right-continuous, so tied values share the rank of the last of them.
+    """The plug-in estimates of every row of an (m, n) array of ascending
+    samples, with means the row means: T_n and, over the n influence values
+    of influence_rows, sigma1^2 = Var g, sigma2^2 = Var B, sigma12 =
+    -Cov(g, B) and the total Var phi with phi = g - (B - E B).  The total
+    is the mean square of the centred phi, so it is never negative.
     """
-    x = sorted_rows
-    index = takayama_rows(x, means, config)
+    index = takayama_rows(sorted_rows, means, config)
     if not variance:
         return PluginRows(index)
-    n = x.shape[1]
-    mu = means[:, np.newaxis]
-    # h and nu vanish past each row's poor prefix, and so do the sigma2 and
-    # sigma12 sums: all of them run over the longest prefix, q cells.  A
-    # poor value's ties lie inside its own row's prefix.
-    poor = config.poor_mask(x)
-    q = int(np.count_nonzero(poor, axis=1).max())
-    x_q, poor = x[:, :q], poor[:, :q]
-    ranks = np.arange(1, q + 1, dtype=float)
-    last_le = _last_tied_position(x_q)
-    f_at = ranks / n if last_le is None else (last_le + 1) / n
-    h_at = x_q * (1.0 - f_at) * poor
-    p_h = h_at.sum(axis=1, keepdims=True) / n
+    g, b = influence_rows(sorted_rows, means, config)
+    g -= g.mean(axis=1, keepdims=True)
+    b -= b.mean(axis=1, keepdims=True)
+    phi = g - b
+    n = g.shape[1]
 
-    # g = 2 (P(h) x / mu^2 - h / mu).  Its mean is zero up to rounding, so
-    # Var g = E g^2 - (E g)^2 loses nothing to cancellation.
-    g_at = (2.0 * p_h / mu ** 2) * x
-    g_at[:, :q] -= (2.0 / mu) * h_at
-    p_g = g_at.mean(axis=1)
-    sigma1 = np.einsum("ij,ij->i", g_at, g_at) / n - p_g ** 2
+    def mean_product(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return np.einsum("ij,ij->i", u, v) / n
 
-    nu = (-2.0 / mu) * x_q * poor
-    sigma2 = _bridge_quadratic_rows(nu, n)
-
-    # sigma12 = -sum nu (G_j width - P(g) s_j), with G_j = (1/n) times the
-    # partial sum of g up to the last value tied with x_j.
-    partial_g = np.cumsum(g_at[:, :q], axis=1)
-    if last_le is not None:
-        partial_g = np.take_along_axis(partial_g, last_le, axis=1)
-    cell_s = (2.0 * ranks - 1.0) / (2.0 * n * n)
-    sigma12 = (p_g * np.einsum("ij,j->i", nu, cell_s)
-               - np.einsum("ij,ij->i", nu, partial_g) / n ** 2)
-    return PluginRows(index, sigma1, sigma2, sigma12)
+    return PluginRows(index, mean_product(g, g), mean_product(b, b), -mean_product(g, b),
+                      mean_product(phi, phi))
 
 
 def sigma_plugin(dist: EmpiricalDistribution,
                  config: PovertyConfig) -> VarianceDecomposition:
     """Plug-in variance of one sample: the one-row call of plugin_rows."""
     rows = plugin_rows(dist.sorted_values[np.newaxis, :], np.array([dist.mean]), config)
-    return VarianceDecomposition.assemble(float(rows.sigma1_sq[0]), float(rows.sigma2_sq[0]),
-                                          float(rows.sigma12[0]))
+    return VarianceDecomposition(float(rows.sigma1_sq[0]), float(rows.sigma2_sq[0]),
+                                 float(rows.sigma12[0]), float(rows.total[0]))
 
 
 def sigma_analytic(dist: AnalyticDistribution, config: PovertyConfig,

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: index, variance, decompose, simulate, report.
+Subcommands: index (alias variance), decompose, simulate, report.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 """
 from __future__ import annotations
@@ -53,11 +53,9 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="takayama", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_index = sub.add_parser("index", help="index, variance, and CI for one sample")
+    p_index = sub.add_parser("index", aliases=["variance"],
+                             help="index, variance, and CI for one sample")
     _add_common(p_index)
-
-    p_var = sub.add_parser("variance", help="variance decomposition detail")
-    _add_common(p_var)
 
     p_dec = sub.add_parser("decompose", help="per-group indices and the gap")
     _add_common(p_dec)
@@ -122,8 +120,7 @@ def _index_report(args: argparse.Namespace, run: RunConfig) -> dict:
     dist = build_empirical(sample)
     index = takayama_empirical(dist, config)
     decomp = sigma_plugin(dist, config)
-    ci = confidence_interval(index.value, max(decomp.total, 0.0), dist.size,
-                             config.confidence_level)
+    ci = confidence_interval(index.value, decomp.total, dist.size, config.confidence_level)
     return {
         "kind": "index",
         "sample_size": dist.size,

@@ -19,8 +19,9 @@ Both partition kinds skip the seven components: each income x of group h
 gets the influence value a_h(x) = phi_pool(x) - phi_h(x), where
 phi = g - (B - E B) and B(x) is the integral of q over incomes at and above
 x.  Then theta1^2 is sum_h p_h Var_h(a_h), and the per-group scalars are
-E_h a_h.  Empirical subgroups take B as 1/n times a suffix sum of q over
-the sorted sample, in O(n log n) for any K; analytic subgroups integrate
+E_h a_h.  Empirical subgroups read g and B from the plug-in variance's
+core (asymptotics.influence_rows), once for the pooled sample and once
+per group, in O(n log n) for any K; analytic subgroups integrate
 a_h and a_h^2 over each component's quantile (population.gap_influence).
 """
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .asymptotics import ConfidenceInterval, KernelSet
+from .asymptotics import ConfidenceInterval, influence_rows
 from .distributions import AnalyticDistribution, mixture
 from .errors import NumericalError
 from .indices import takayama_empirical, takayama_population
@@ -225,30 +226,25 @@ class GapVariance:
         return self.theta1_sq + self.theta3_sq
 
 
-def _influence(kernels: KernelSet):
-    """phi(x) = g(x) - (B(x) - E B) for an empirical binding, where
-    B(x) = (1/n) sum of q(X_k) over X_k >= x is a suffix sum of q over the
-    sorted sample; tied values share one B.  The suffix sums are built once,
-    so an evaluation costs binary searches into the sorted sample only."""
-    x = kernels.source.sorted_values
-    suffix = np.append(np.cumsum(kernels.q(x)[::-1])[::-1], 0.0) / x.size
-
-    def bridge(at: np.ndarray) -> np.ndarray:
-        return suffix[np.searchsorted(x, at, side="left")]
-
-    mean_b = float(bridge(x).mean())
-    return lambda at: kernels.g(at) - (bridge(at) - mean_b)
+def _phi(dist: EmpiricalDistribution, config: PovertyConfig) -> np.ndarray:
+    """phi = g - (B - E B) at each sorted value of dist, from the influence
+    core."""
+    g, b = influence_rows(dist.sorted_values[np.newaxis, :], np.array([dist.mean]), config)
+    return g[0] - (b[0] - b[0].mean())
 
 
 def _empirical_gap_influence(part: SubgroupPartition,
                              config: PovertyConfig) -> Tuple[float, list]:
     # For x in group h the gap's influence is a_h(x) - (T_h - sum_i p_i T_i)
-    # with a_h = phi_pool - phi_h; theta1^2 is its within-group part.
-    phi_pool = _influence(KernelSet(part.pooled, config))
+    # with a_h = phi_pool - phi_h; theta1^2 is its within-group part.  Tied
+    # values share one phi_pool, so any position of x in the pooled sample
+    # reads it.
+    pooled = part.pooled.sorted_values
+    phi_pool = _phi(part.pooled, config)
     theta1, mean_scalars = 0.0, []
     for weight, grp in zip(part.weights, part.groups):
         x = grp.dist.sorted_values
-        a = phi_pool(x) - _influence(KernelSet(grp.dist, config))(x)
+        a = phi_pool[np.searchsorted(pooled, x)] - _phi(grp.dist, config)
         theta1 += weight * float(a.var())
         mean_scalars.append(float(a.mean()))
     return theta1, mean_scalars
@@ -291,12 +287,3 @@ def recompose_interval(weighted_local_sum: float,
                        gap_ci: ConfidenceInterval) -> ConfidenceInterval:
     """Global-index interval: weighted subgroup indices plus the gap CI."""
     return gap_ci.shifted(weighted_local_sum)
-
-
-def recompose_global(part: SubgroupPartition, gap_ci: ConfidenceInterval,
-                     config: PovertyConfig,
-                     quad: QuadratureSettings = DEFAULT_QUADRATURE) -> ConfidenceInterval:
-    """Recover a confidence interval for the global index from subgroup
-    indices and a confidence interval for the gap."""
-    estimate = decomposability_gap(part, config, quad)
-    return recompose_interval(estimate.weighted_local_sum, gap_ci)

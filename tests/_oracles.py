@@ -3,8 +3,10 @@
 These deliberately avoid the library's closed-form assembly paths: the gap
 variance oracle works from first-principles influence functions of the
 two-stage sampling scheme, the brute-force helpers recompute grid sums
-and influence values term by term, the cell-sum gap variance evaluates
-the seven A/B components of an empirical partition over quantile cells,
+and influence values term by term (the plug-in variance and the gap
+thetas over all pairs of observations), the cell-sum plug-in variance
+and the cell-sum gap variance (the seven A/B components of an empirical
+partition) sum exact Brownian-bridge integrals over quantile cells,
 the row-wise CSV reader checks the vectorised one, and the one-replicate-
 at-a-time study loop (with its own index, plug-in variance and draws)
 checks the chunked replicate engine.  The nested quadratures of the
@@ -24,8 +26,7 @@ from typing import Tuple
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from takayama.asymptotics import (KernelSet, VarianceDecomposition,
-                                  bridge_quadratic_step, confidence_interval)
+from takayama.asymptotics import KernelSet, VarianceDecomposition, confidence_interval
 from takayama.decomposition import (_weighted_variance, decomposability_gap,
                                     gap_variance, partition)
 from takayama.errors import DataFormatError, NumericalError, QuadratureError
@@ -51,9 +52,54 @@ def bisection_normal_quantile(p: float, tol: float = 1e-12) -> float:
     return 0.5 * (lo + hi)
 
 
+def _bridge_min_antiderivative(u: float, v: float) -> float:
+    # integral of min(s, t) over [0,u] x [0,v]
+    w, z = (u, v) if u <= v else (v, u)
+    return 0.5 * w * w * z - w ** 3 / 6.0
+
+
+def bridge_cell_integral(a: float, b: float, c: float, d: float) -> float:
+    """Exact integral of min(s,t) - s t over the rectangle [a,b] x [c,d].
+
+    This is the Brownian-bridge covariance integrated in closed form; the
+    diagonal split is folded into the min antiderivative.
+    """
+    if not (0.0 <= a <= b <= 1.0 and 0.0 <= c <= d <= 1.0):
+        raise ValueError(f"rectangle [{a},{b}]x[{c},{d}] must sit inside the unit square")
+    m = (_bridge_min_antiderivative(b, d) - _bridge_min_antiderivative(a, d)
+         - _bridge_min_antiderivative(b, c) + _bridge_min_antiderivative(a, c))
+    return m - 0.25 * (b * b - a * a) * (d * d - c * c)
+
+
+def bridge_quadratic_step(step_values: np.ndarray) -> float:
+    """Exact value of the double integral of w(s) w(t) (min(s,t) - st) for a
+    step function w taking step_values on the uniform cell grid of [0, 1].
+
+    Diagonal cells use the closed-form square-cell integral; off-diagonal
+    cells factorize as s (1 - t), so one prefix sum gives the whole upper
+    triangle and the quadratic form costs O(n)."""
+    w_vals = np.asarray(step_values, dtype=float)
+    return float(_bridge_quadratic_rows(w_vals[np.newaxis, :], w_vals.size)[0])
+
+
+def _bridge_quadratic_rows(w: np.ndarray, n: int) -> np.ndarray:
+    """bridge_quadratic_step of every row of w on the n-cell grid.  w may
+    hold only the first q <= n cells when the rest of every row is zero."""
+    j = np.arange(1, w.shape[1] + 1, dtype=float)
+    cell_lo = (j - 1.0) / n
+    cell_hi = j / n
+    width = 1.0 / n
+    cell_s = (2.0 * j - 1.0) / (2.0 * n * n)  # integral of s over each cell
+
+    diag = (cell_hi ** 3 - cell_lo ** 3) / 3.0 - cell_lo ** 2 * width - cell_s ** 2
+    # Cells j < k contribute w_j s_j * w_k (width - s_k): a prefix sum over j.
+    before = np.cumsum(w * cell_s, axis=1)
+    return (np.einsum("ij,j->i", w * w, diag)
+            + 2.0 * np.einsum("ij,ij->i", (w * (width - cell_s))[:, 1:], before[:, :-1]))
+
+
 def brute_force_sigma2(nu_values: np.ndarray) -> float:
     """Direct double loop over all cell pairs via bridge_cell_integral."""
-    from takayama.asymptotics import bridge_cell_integral
     n = len(nu_values)
     total = 0.0
     for j in range(n):
@@ -364,6 +410,30 @@ def brute_force_gap_thetas(values, labels, config):
             weighted_var(means))
 
 
+def influence_sigma_oracle(dist, config) -> VarianceDecomposition:
+    """Plug-in variance of one sample from the influence value of each
+    observation, every sum written out over all pairs (O(n^2); small
+    samples only).
+
+    phi(x) = g(x) - (B(x) - mean B) with g(x) = 2 (P(h) x / mu^2 - h(x) / mu),
+    h(x) = x (1 - F_n(x)) 1{x poor} and B(x) = (1/n) sum over X_k >= x of
+    q(X_k) = -2 X_k 1{X_k poor} / mu.  Then sigma1^2 = Var g,
+    sigma2^2 = Var B, sigma12 = -Cov(g, B) and the total is Var phi.
+    """
+    x = np.asarray(dist.sorted_values, dtype=float)
+    mu = x.mean()
+    line = config.poverty_line
+    poor = x < line if config.strict_comparison else x <= line
+    h = x * (1.0 - (x[None, :] <= x[:, None]).mean(axis=1)) * poor
+    g = 2.0 * (h.mean() * x / mu ** 2 - h / mu)
+    q = -2.0 * x * poor / mu
+    b = ((x[None, :] >= x[:, None]) * q).sum(axis=1) / x.size
+    gc, bc = g - g.mean(), b - b.mean()
+    phi = gc - bc
+    return VarianceDecomposition(float(np.mean(gc * gc)), float(np.mean(bc * bc)),
+                                 -float(np.mean(gc * bc)), float(np.mean(phi * phi)))
+
+
 def ingest_csv_rowwise_oracle(path: str, config: RunConfig) -> IncomeSample:
     """Read survey rows into an IncomeSample, one csv.DictReader row at a
     time: the reader `takayama.io.ingest_csv` replaced, kept as its oracle.
@@ -437,10 +507,12 @@ def takayama_empirical_oracle(dist, config) -> IndexValue:
     return IndexValue(value, "takayama-empirical", n)
 
 
-def sigma_plugin_oracle(dist, config) -> VarianceDecomposition:
-    """Plug-in variance of one sorted sample, each cell sum written for a
-    single row: kernels from KernelSet, ranks of tied values from
-    searchsorted, and the bridge suffix sum in full."""
+def cell_sum_sigma_oracle(dist, config) -> VarianceDecomposition:
+    """Plug-in variance of one sorted sample with every integral summed
+    exactly over the n quantile cells (the route takayama.asymptotics took
+    before its influence core): kernels from KernelSet, ranks of tied
+    values from searchsorted, and the bridge suffix sum in full.  On
+    tie-free data it differs from the influence moments by O(1/n)."""
     kernels = KernelSet(dist, config)
     x = dist.sorted_values
     n = dist.size
@@ -504,7 +576,7 @@ def run_replicates_loop_oracle(study, target=TARGET_TAKAYAMA,
                 dist = build_empirical(sample)
                 values[rep] = takayama_empirical_oracle(dist, config).value
                 if compute_variance:
-                    variances[rep] = sigma_plugin_oracle(dist, config).total
+                    variances[rep] = influence_sigma_oracle(dist, config).total
             else:
                 part = partition(sample)
                 values[rep] = decomposability_gap(part, config).gap

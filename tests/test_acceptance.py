@@ -11,8 +11,7 @@ import pytest
 
 from takayama import (ConfidenceInterval, IncomeSample, KernelSet, MixtureModel,
                       PovertyConfig, QuadratureSettings, ReplicateStudy,
-                      analytic_partition, bootstrap_variance,
-                      bridge_quadratic_step, build_empirical,
+                      analytic_partition, bootstrap_variance, build_empirical,
                       decomposability_gap, draw_mixture_sample,
                       empirical_distribution_from_values, exponential,
                       fgt_index, gap_variance, ks_normality, partition,
@@ -21,7 +20,8 @@ from takayama import (ConfidenceInterval, IncomeSample, KernelSet, MixtureModel,
                       sigma_plugin, takayama_empirical, takayama_population,
                       uniform)
 
-from _oracles import nested_gap_variance_oracle, sigma2_step_quadrature
+from _oracles import (bridge_quadratic_step, nested_gap_variance_oracle,
+                      sigma2_step_quadrature)
 
 CFG1 = PovertyConfig(1.0)
 

@@ -6,14 +6,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from takayama import (IncomeSample, KernelSet, NumericalError, PovertyConfig,
-                      QuadratureSettings, bridge_cell_integral,
-                      bridge_quadratic_step, build_empirical, confidence_interval,
-                      empirical_distribution_from_values, exponential,
-                      kernel_eval, kolmogorov_critical_value, lognormal,
+                      QuadratureSettings, bootstrap_variance, build_empirical,
+                      confidence_interval, empirical_distribution_from_values,
+                      exponential, kolmogorov_critical_value, lognormal,
                       normal_quantile, pareto, representation_residual,
                       sigma_analytic, sigma_plugin, takayama_population, uniform)
 
-from _oracles import (bisection_normal_quantile, brute_force_sigma2,
+from _oracles import (bisection_normal_quantile, bridge_cell_integral,
+                      bridge_quadratic_step, brute_force_sigma2,
                       sigma2_step_quadrature)
 
 CFG1 = PovertyConfig(1.0)
@@ -25,32 +25,28 @@ CFG1 = PovertyConfig(1.0)
 
 def test_kernel_values_uniform():
     kernels = KernelSet(uniform(0.0, 1.0), CFG1)
-    assert kernel_eval(kernels, "h", 0.5) == pytest.approx(0.25, abs=1e-12)
-    assert kernel_eval(kernels, "q", 0.5) == pytest.approx(-2.0, abs=1e-12)
-    assert kernel_eval(kernels, "g", 0.5) == pytest.approx(-1 / 3, abs=1e-9)
-    assert kernel_eval(kernels, "ell", 0.5) == 0.5
-    assert kernel_eval(kernels, "nu", 0.25) == pytest.approx(-1.0, abs=1e-12)
+    assert kernels.h(0.5) == pytest.approx(0.25, abs=1e-12)
+    assert kernels.q(0.5) == pytest.approx(-2.0, abs=1e-12)
+    assert kernels.g(0.5) == pytest.approx(-1 / 3, abs=1e-9)
+    assert kernels.ell(0.5) == 0.5
+    assert kernels.nu(0.25) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_kernels_vanish_beyond_line():
     kernels = KernelSet(uniform(0.0, 2.0), CFG1)
-    assert kernel_eval(kernels, "h", 1.5) == 0.0
-    assert kernel_eval(kernels, "q", 1.5) == 0.0
-    assert kernel_eval(kernels, "ell", 1.5) == 0.0
+    assert kernels.h(1.5) == 0.0
+    assert kernels.q(1.5) == 0.0
+    assert kernels.ell(1.5) == 0.0
     # g is linear above the line
-    g_a = kernel_eval(kernels, "g", 1.2)
-    g_b = kernel_eval(kernels, "g", 1.8)
+    g_a = kernels.g(1.2)
+    g_b = kernels.g(1.8)
     assert g_a / 1.2 == pytest.approx(g_b / 1.8, rel=1e-9)
 
 
-def test_kernel_eval_argument_errors():
+def test_kernel_nu_argument_error():
     kernels = KernelSet(uniform(0.0, 1.0), CFG1)
-    with pytest.raises(ValueError, match="unknown kernel"):
-        kernel_eval(kernels, "zeta", 0.5)
     with pytest.raises(ValueError):
-        kernel_eval(kernels, "h", -0.5)
-    with pytest.raises(ValueError):
-        kernel_eval(kernels, "nu", 1.0)
+        kernels.nu(1.0)
 
 
 def test_centered_kernel_mean_near_zero(rng):
@@ -128,11 +124,14 @@ def test_sigma_plugin_no_poor_is_zero(rng):
 
 
 def test_sigma_plugin_constant_poor_sample():
+    # Every observation has the same influence value, so Var phi = 0, and
+    # so is the bootstrap variance: every resample is the sample itself.
     emp = empirical_distribution_from_values([0.5] * 20)
     decomp = sigma_plugin(emp, CFG1)
     assert decomp.sigma1_sq == pytest.approx(0.0, abs=1e-15)
-    # the bridge quadratic form of the constant weight -2c/mu = -2
-    assert decomp.sigma2_sq == pytest.approx(4 / 12, abs=1e-12)
+    assert decomp.sigma2_sq == pytest.approx(0.0, abs=1e-15)
+    assert decomp.total == 0.0
+    assert decomp.total == bootstrap_variance([0.5] * 20, CFG1, 100, seed=1)
 
 
 def test_sigma_plugin_close_to_population(rng):

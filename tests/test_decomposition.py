@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from takayama import (ConfidenceInterval, GapVariance, IncomeSample, KernelSet,
+from takayama import (ConfidenceInterval, GapVariance, IncomeSample,
                       NumericalError, PovertyConfig, QuadratureSettings,
                       Subgroup, analytic_partition, build_empirical,
-                      decomposability_gap, draw_mixture_sample,
+                      decomposability_gap, decomposition, draw_mixture_sample,
                       empirical_cdf, exponential, fgt_index, gap_variance,
-                      lognormal, mixture, partition, recompose_global,
-                      recompose_interval, uniform, MixtureModel)
+                      lognormal, mixture, partition, recompose_interval,
+                      uniform, MixtureModel)
 
 from _oracles import (GapComponents, bisection_quantile, brute_force_gap_thetas,
                       cell_sum_gap_variance_oracle, gap_variance_influence_oracle,
@@ -338,17 +338,17 @@ def test_empirical_gap_variance_matches_brute_force_edge_cases(case):
 
 @pytest.mark.parametrize("k", [4, 16])
 def test_empirical_gap_variance_work_is_linear_in_k(k, monkeypatch):
-    # Guards the O(n log n) route by counting calls: K + 1 kernel sets (the
-    # pooled one built once, not once per group) and a fixed number of
-    # binary searches per kernel set, where loops over pairs or triples of
-    # groups would need thousands at K = 16.
-    built, searches = [], []
-    original_init = KernelSet.__init__
+    # Guards the O(n log n) route by counting calls: K + 1 calls of the
+    # influence core (the pooled one made once, not once per group) and a
+    # fixed number of binary searches per call, where loops over pairs or
+    # triples of groups would need thousands at K = 16.
+    cores, searches = [], []
+    original_core = decomposition.influence_rows
     original_search = np.searchsorted
 
-    def counting_init(self, *args, **kwargs):
-        built.append(args[0])
-        original_init(self, *args, **kwargs)
+    def counting_core(sorted_rows, *args, **kwargs):
+        cores.append(sorted_rows.shape)
+        return original_core(sorted_rows, *args, **kwargs)
 
     def counting_search(*args, **kwargs):
         searches.append(1)
@@ -359,11 +359,11 @@ def test_empirical_gap_variance_work_is_linear_in_k(k, monkeypatch):
     sample = IncomeSample(rng.lognormal(0.0, 0.8, 400),
                           group_labels=labels.astype(str).astype(object))
     part = partition(sample)
-    monkeypatch.setattr(KernelSet, "__init__", counting_init)
+    monkeypatch.setattr(decomposition, "influence_rows", counting_core)
     monkeypatch.setattr(np, "searchsorted", counting_search)
     gap_variance(part, CFG1)
-    assert len(built) == k + 1
-    assert sum(source is part.pooled for source in built) == 1
+    assert len(cores) == k + 1
+    assert cores.count((1, part.pooled.size)) == 1
     assert len(searches) <= 10 * (k + 1)
 
 
@@ -409,6 +409,6 @@ def test_recompose_global_from_partition():
     part = partition(sample)
     gap_ci = ConfidenceInterval(0.01, 0.005, 0.95)
     estimate = decomposability_gap(part, CFG1)
-    ci = recompose_global(part, gap_ci, CFG1)
+    ci = recompose_interval(estimate.weighted_local_sum, gap_ci)
     assert ci.center == pytest.approx(estimate.weighted_local_sum + 0.01, abs=1e-14)
     assert ci.half_width == 0.005

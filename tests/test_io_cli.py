@@ -285,6 +285,12 @@ def test_cli_variance_alias(survey_csv, capsys):
     rc = cli_dispatch(["variance", "--input", survey_csv, "--poverty-line", "4.5"])
     assert rc == 0
     assert "variance components" in capsys.readouterr().out
+    reports = []
+    for command in ("variance", "index"):
+        assert cli_dispatch([command, "--input", survey_csv, "--poverty-line", "4.5",
+                             "--format", "json"]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    assert reports[0] == reports[1]
 
 
 def test_cli_decompose(survey_csv, capsys):

@@ -11,12 +11,12 @@ from takayama import (AnalyticDistribution, IncomeSample, MixtureModel, PovertyC
                       run_replicates, sigma_plugin, takayama_empirical,
                       takayama_population, uniform)
 from takayama import asymptotics, montecarlo
-from takayama.asymptotics import plugin_rows
+from takayama.asymptotics import influence_rows, plugin_rows
 from takayama.montecarlo import CHUNK_ELEMENTS, _draw_rows, _replicate_rng
 
-from _oracles import (bootstrap_variance_loop_oracle, draw_mixture_sample_oracle,
-                      run_replicates_loop_oracle, sigma_plugin_oracle,
-                      takayama_empirical_oracle)
+from _oracles import (bootstrap_variance_loop_oracle, cell_sum_sigma_oracle,
+                      draw_mixture_sample_oracle, influence_sigma_oracle,
+                      run_replicates_loop_oracle, takayama_empirical_oracle)
 
 CFG1 = PovertyConfig(1.0)
 
@@ -262,7 +262,7 @@ def test_plugin_rows_match_one_row_oracles(strict):
     scored = plugin_rows(rows, rows.mean(axis=1), config)
     for i, row in enumerate(rows):
         dist = build_empirical(IncomeSample(row))
-        want = sigma_plugin_oracle(dist, config)
+        want = influence_sigma_oracle(dist, config)
         assert scored.index[i] == pytest.approx(
             takayama_empirical_oracle(dist, config).value, rel=1e-12)
         assert scored.sigma1_sq[i] == pytest.approx(want.sigma1_sq, rel=1e-12)
@@ -281,8 +281,49 @@ def test_plugin_rows_no_poor_and_all_poor():
         config = PovertyConfig(line)
         scored = plugin_rows(rows, rows.mean(axis=1), config)
         for i, row in enumerate(rows):
-            want = sigma_plugin_oracle(build_empirical(IncomeSample(row)), config)
+            want = influence_sigma_oracle(build_empirical(IncomeSample(row)), config)
             assert scored.total[i] == pytest.approx(want.total, rel=1e-12, abs=1e-300)
+
+
+RANK_TOL = 2.0
+
+
+@pytest.mark.parametrize("n", [50, 2000])
+def test_plugin_rows_near_cell_sums_on_tie_free_rows(n):
+    # The cell route integrates the bridge term over n quantile cells where
+    # the influence moments average it over n atoms; inside one cell B moves
+    # by one step |q| / n, so the two differ by O(1/n) on the scale of the
+    # components.  RANK_TOL is the constant the benchmark's output check uses.
+    rows = np.sort(np.random.default_rng(n).lognormal(0.0, 0.8, (4, n)), axis=1)
+    assert (np.diff(rows, axis=1) > 0).all()
+    scored = plugin_rows(rows, rows.mean(axis=1), CFG1)
+    for i, row in enumerate(rows):
+        cell = cell_sum_sigma_oracle(build_empirical(IncomeSample(row)), CFG1)
+        tol = RANK_TOL * (cell.sigma1_sq + cell.sigma2_sq) / n
+        for got, want in ((scored.sigma1_sq[i], cell.sigma1_sq),
+                          (scored.sigma2_sq[i], cell.sigma2_sq),
+                          (scored.sigma12[i], cell.sigma12),
+                          (scored.total[i], cell.total)):
+            assert abs(got - want) <= tol
+
+
+def test_plugin_rows_reads_the_influence_core(monkeypatch):
+    # sigma_plugin and the replicate engine get g and B from one
+    # influence_rows call per plugin_rows call, as the gap variance does.
+    calls = []
+
+    def counting_core(sorted_rows, *args, **kwargs):
+        calls.append(sorted_rows.shape)
+        return influence_rows(sorted_rows, *args, **kwargs)
+
+    monkeypatch.setattr(asymptotics, "influence_rows", counting_core)
+    sigma_plugin(empirical_distribution_from_values(np.linspace(0.1, 2.0, 30)), CFG1)
+    assert calls == [(1, 30)]
+    rows = _ties_chunk()
+    plugin_rows(rows, rows.mean(axis=1), CFG1, variance=False)
+    assert len(calls) == 1
+    plugin_rows(rows, rows.mean(axis=1), CFG1)
+    assert calls[1:] == [rows.shape]
 
 
 STUDIES = {
