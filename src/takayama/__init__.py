@@ -1,7 +1,7 @@
 """Takayama poverty index: estimation, asymptotic inference, and
 decomposability-gap analysis on income microdata."""
 
-from .asymptotics import (ConfidenceInterval, KernelSet, PluginRows,
+from .asymptotics import (ConfidenceInterval, PluginRows,
                           VarianceDecomposition, confidence_interval, plugin_rows,
                           representation_residual, sigma_analytic, sigma_plugin)
 from .decomposition import (GapEstimate, GapVariance, Subgroup, SubgroupPartition,
@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalyticDistribution", "ConfidenceInterval", "DataFormatError",
     "DEFAULT_QUADRATURE", "EmpiricalDistribution", "FGT", "GapEstimate",
-    "GapVariance", "IncomeSample", "IndexValue", "KernelSet",
+    "GapVariance", "IncomeSample", "IndexValue",
     "KsNormalityResult", "MixtureModel", "NumericalError", "PluginRows",
     "PovertyConfig",
     "QuadratureError", "QuadratureSettings", "ReplicateRecords",

@@ -45,90 +45,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .distributions import AnalyticDistribution, require_finite_second_moment
 from .errors import NumericalError
-from .indices import takayama_empirical, takayama_population, takayama_rows
+from .indices import takayama_rows
 from .normal import normal_quantile
 from .population import bind, influence_variances
 from .quadrature import DEFAULT_QUADRATURE, QuadratureSettings
-from .samples import (EmpiricalDistribution, PovertyConfig,
-                      empirical_cdf, empirical_quantile, poor_count)
-
-BoundDistribution = Union[EmpiricalDistribution, AnalyticDistribution]
-
-
-class KernelSet:
-    """The kernels ell/h/g/q/nu bound to one distribution and poverty line.
-
-    Scalars mu, P(h) and P(g) are computed once at construction: exactly
-    (sample averages) for an empirical binding, by quadrature over each
-    mixture component's quantile for an analytic one (see population).
-    E g(X) is zero by construction; the cached p_g retains the numerical
-    value as a consistency witness.
-    """
-
-    def __init__(self, source: BoundDistribution, config: PovertyConfig,
-                 quad: QuadratureSettings = DEFAULT_QUADRATURE):
-        self.source = source
-        self.config = config
-        self.poverty_line = config.poverty_line
-        if isinstance(source, EmpiricalDistribution):
-            self.kind = "empirical"
-            self.mu = source.mean
-            self._cdf = lambda x: empirical_cdf(source, x)
-            self._quantile = lambda s: empirical_quantile(source, s)
-            self.s_poor = poor_count(source, config) / source.size
-            x = source.sorted_values
-            f_at = np.searchsorted(x, x, side="right") / source.size
-            h_at = x * (1.0 - f_at) * config.poor_mask(x)
-            self.p_h = float(h_at.mean())
-            self.p_g = float(self.g(x).mean())
-        else:
-            self.kind = "analytic"
-            self.mu = source.mean
-            self._cdf = source.cdf
-            self._quantile = source.quantile
-            self.s_poor = float(np.clip(source.cdf(config.poverty_line), 0.0, 1.0))
-            law = bind(source, config, quad)
-            self.p_h = law.p_h
-            self.p_g = law.mean_g()
-
-    def cdf(self, x):
-        return self._cdf(x)
-
-    def quantile(self, s):
-        return self._quantile(s)
-
-    def ell(self, x):
-        """Income censored above the poverty line."""
-        x = np.asarray(x, dtype=float)
-        return x * self.config.poor_mask(x)
-
-    def h(self, x):
-        """Poor income weighted by the survival function 1 - F."""
-        x = np.asarray(x, dtype=float)
-        return x * (1.0 - np.asarray(self._cdf(x), dtype=float)) * self.config.poor_mask(x)
-
-    def g(self, x):
-        """Influence kernel of the index through the empirical mean."""
-        x = np.asarray(x, dtype=float)
-        return 2.0 * (self.p_h * x / self.mu ** 2 - self.h(x) / self.mu)
-
-    def q(self, x):
-        """Weight of the rank-based residual term, -2 ell(x) / mu."""
-        return -2.0 * self.ell(x) / self.mu
-
-    def nu(self, s):
-        """q evaluated along the quantile function; vanishes for s > F(Z)."""
-        arr = np.asarray(s, dtype=float)
-        if arr.size and (arr.min() <= 0.0 or arr.max() >= 1.0):
-            raise ValueError("nu argument must lie in (0, 1)")
-        out = self.q(self._quantile(arr))
-        return float(out) if np.isscalar(s) else out
+from .samples import EmpiricalDistribution, PovertyConfig
 
 
 @dataclass(frozen=True)
@@ -305,35 +232,36 @@ def confidence_interval(point: float, variance: float, n: int,
     return ConfidenceInterval(point, z * math.sqrt(variance / n), level)
 
 
-def representation_residual(values: np.ndarray, dist: AnalyticDistribution,
+def representation_residual(rows: np.ndarray, dist: AnalyticDistribution,
                             config: PovertyConfig,
-                            quad: QuadratureSettings = DEFAULT_QUADRATURE,
-                            kernels: Optional[KernelSet] = None,
-                            population_value: Optional[float] = None) -> float:
-    """sqrt(n)(T_n - T) minus its first-order expansion G_n(g) + beta_n.
+                            quad: QuadratureSettings = DEFAULT_QUADRATURE) -> np.ndarray:
+    """sqrt(n)(T_n - T) minus its first-order expansion G_n(g) + beta_n, for
+    every row of an (m, n) array of samples; a 1-D sample is one row.
 
-    The expansion uses the true kernels of `dist`; beta_n is the exact
-    rank-based sum -(1/sqrt n) sum_i (F_n(X_i) - F(X_i)) q(X_i).  The
-    returned remainder should shrink (in median absolute value) as n grows.
-    Pass precomputed `kernels` / `population_value` when evaluating many
-    replicates from the same distribution.
+    The expansion uses the true kernels of `dist`, with mu, P(h), E g and
+    T = 1 - 2 P(h) / mu from one bound law; beta_n is the exact rank-based
+    sum -(1/sqrt n) sum_i (F_n(X_i) - F(X_i)) q(X_i) with the
+    right-continuous F_n.  The remainders should shrink (in median absolute
+    value) as n grows.
     """
-    x = np.sort(np.asarray(values, dtype=float))
-    n = x.size
+    x = np.sort(np.atleast_2d(np.asarray(rows, dtype=float)), axis=1)
+    n = x.shape[1]
     if n == 0:
         raise ValueError("empty sample")
-    emp = EmpiricalDistribution(x, float(x.mean()), n)
-    if emp.mean == 0.0:
+    means = x.mean(axis=1)
+    if not means.all():
         raise NumericalError("degenerate sample mean")
-    if kernels is None:
-        kernels = KernelSet(dist, config, quad)
-    if population_value is None:
-        population_value = takayama_population(dist, config, quad).value
-    t_n = takayama_empirical(emp, config).value
+    law = bind(dist, config, quad)
+    mu, p_h = law.mu, law.p_h
+    f_at = np.asarray(dist.cdf(x), dtype=float)
+    poor = config.poor_mask(x)
+    g = 2.0 * (p_h * x / mu ** 2 - x * (1.0 - f_at) * poor / mu)
+    q = -2.0 * x * poor / mu
+    runs = _tie_runs(x)
+    f_n_at = np.arange(1, n + 1) / n if runs is None else (runs[1] + 1) / n
 
     root_n = math.sqrt(n)
-    g_term = root_n * (float(kernels.g(x).mean()) - kernels.p_g)
-    f_n_at = np.searchsorted(x, x, side="right") / n
-    f_at = np.asarray(dist.cdf(x), dtype=float)
-    beta = -float(np.dot(f_n_at - f_at, kernels.q(x))) / root_n
-    return root_n * (t_n - population_value) - g_term - beta
+    t_n = takayama_rows(x, means, config)
+    g_term = root_n * (g.mean(axis=1) - law.mean_g())
+    beta = -np.einsum("ij,ij->i", f_n_at - f_at, q) / root_n
+    return root_n * (t_n - (1.0 - 2.0 * p_h / mu)) - g_term - beta

@@ -1,12 +1,13 @@
 """Analytic reference distributions with closed-form CDF/quantile/mean.
 
 Shipped families: uniform, exponential, lognormal, Pareto, and finite
-mixtures.  Every family exposes an increasing CDF together with its exact
-inverse, so population functionals can be evaluated by quadrature in
-quantile space without densities; a mixture keeps its plain components,
-so those functionals never invert its CDF.  The lognormal reads the
-package's numpy normal law (takayama.normal), accurate in both
-tails; scipy loads only on the first call of a mixture's quantile.
+mixtures.  Every plain family exposes an increasing CDF together with
+its exact inverse, so population functionals can be evaluated by
+quadrature in quantile space without densities; a mixture keeps its
+plain components, so those functionals never invert its CDF.  The
+lognormal reads the package's numpy normal law (takayama.normal),
+accurate in both tails, and a mixture's quantile bisects its CDF in
+numpy, so the package's runtime is numpy-only.
 """
 from __future__ import annotations
 
@@ -120,8 +121,10 @@ def mixture(components: Sequence[AnalyticDistribution],
             weights: Sequence[float]) -> AnalyticDistribution:
     """Finite mixture sum(p_i * F_i), flattened into its plain components.
 
-    The quantile inverts the CDF numerically (brentq to ~1e-13), importing
-    scipy on its first call; the population functionals never call it.
+    The quantile is the left-continuous inverse inf{x : F(x) >= s}, found
+    for all points at once by bisection on the CDF between the smallest and
+    largest component quantile, to 1e-13 + 8.9e-16 |x|.  The population
+    functionals never call it.
     """
     comps = tuple(components)
     w = np.asarray(weights, dtype=float)
@@ -141,19 +144,22 @@ def mixture(components: Sequence[AnalyticDistribution],
             total += p * comp.cdf(x)
         return total
 
-    def _invert_one(s: float) -> float:
-        from scipy.optimize import brentq
-        qs = [float(comp.quantile(s)) for comp in comps]
-        lo, hi = min(qs), max(qs)
-        if hi - lo <= 1e-15 * max(1.0, abs(hi)):
-            return lo
-        return brentq(lambda x: float(cdf(x)) - s, lo, hi, xtol=1e-13, rtol=8.9e-16)
-
     def quantile(s):
-        arr = np.asarray(s, dtype=float)
-        if arr.ndim == 0:
-            return np.float64(_invert_one(float(arr)))
-        return np.array([_invert_one(v) for v in arr.ravel()]).reshape(arr.shape)
+        s = np.asarray(s, dtype=float)
+        qs = np.array([part.quantile(s) for _, part in parts], dtype=float)
+        lo, hi = qs.min(axis=0), qs.max(axis=0)
+        # F < s below every Q_k(s) and F >= s from every Q_k(s) on, so
+        # inf{x : F(x) >= s} lies in [lo, hi], and is lo where F(lo) >= s.
+        hi = np.where(cdf(lo) >= s, lo, hi)
+        while True:
+            # False on a closed bracket, an infinite upper end and NaN.
+            open_ = hi > lo + 1e-13 + 8.9e-16 * np.abs(hi)
+            if not open_.any():
+                return hi[()]
+            mid = 0.5 * (lo + hi)
+            below = cdf(mid) < s
+            lo = np.where(open_ & below, mid, lo)
+            hi = np.where(open_ & ~below, mid, hi)
 
     mean = float(np.dot(w, [c.mean for c in comps]))
     m2 = None

@@ -249,10 +249,7 @@ def _score_index_rows(drawn: np.ndarray, config: PovertyConfig, compute_variance
         scored = plugin_rows(np.stack(sorted_rows), np.array(means), config, compute_variance)
         values[kept] = scored.index
         if compute_variance:
-            # The component check of VarianceDecomposition, row by row.
-            negative = (scored.sigma1_sq < -1e-9) | (scored.sigma2_sq < -1e-9)
-            variances[kept] = np.where(negative, np.nan, scored.total)
-            degenerate[kept] = negative
+            variances[kept] = scored.total
     return values, variances, degenerate
 
 

@@ -11,9 +11,11 @@ the row-wise CSV reader checks the vectorised one, and the one-replicate-
 at-a-time study loop (with its own index, plug-in variance and draws)
 checks the chunked replicate engine.  The nested quadratures of the
 population variance and of the analytic gap variance's seven components,
-on scipy's QUADPACK and the mixture's brentq quantile, check the 1-D
+on scipy's QUADPACK and a mixture's brentq quantile (brentq_quantile,
+also the reference for the library's bisection quantile), check the 1-D
 influence quadratures of takayama.population.  The influence-function gap
-oracle inverts the pooled mixture by vectorised bisection instead.
+oracle builds on the same QUADPACK kernels, with the library's vectorised
+quantile on its bridge grid.
 """
 from __future__ import annotations
 
@@ -25,8 +27,9 @@ from typing import Tuple
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
+from scipy.optimize import brentq
 
-from takayama.asymptotics import KernelSet, VarianceDecomposition, confidence_interval
+from takayama.asymptotics import VarianceDecomposition, confidence_interval
 from takayama.decomposition import (_weighted_variance, decomposability_gap,
                                     gap_variance, partition)
 from takayama.errors import DataFormatError, NumericalError, QuadratureError
@@ -35,7 +38,7 @@ from takayama.io import RunConfig
 from takayama.montecarlo import (TARGET_TAKAYAMA, ReplicateRecords, _as_mixture,
                                  _replicate_rng, population_truth)
 from takayama.quadrature import QuadratureSettings
-from takayama.samples import IncomeSample, build_empirical, poor_count
+from takayama.samples import IncomeSample, build_empirical, empirical_cdf, poor_count
 
 
 def bisection_normal_quantile(p: float, tol: float = 1e-12) -> float:
@@ -109,28 +112,29 @@ def brute_force_sigma2(nu_values: np.ndarray) -> float:
     return total
 
 
-def bisection_quantile(dist, s) -> np.ndarray:
-    """A law's quantile at the points s.  A mixture's is found by bisection
-    on its CDF, all points at once, bracketed by the component quantiles and
-    run to the tolerance of the mixture's own brentq quantile (xtol 1e-13,
-    rtol 8.9e-16)."""
-    s = np.asarray(s, dtype=float)
+def brentq_quantile(dist):
+    """A law's quantile as a function of one point: a plain law's own, and a
+    mixture's by brentq on its CDF between the smallest and largest
+    component quantile (xtol 1e-13, rtol 8.9e-16)."""
     if not dist.components:
-        return np.asarray(dist.quantile(s), dtype=float)
-    qs = np.array([comp.quantile(s) for _, comp in dist.components])
-    lo, hi = qs.min(axis=0), qs.max(axis=0)
-    while np.any(hi - lo > 1e-13 + 8.9e-16 * np.abs(hi)):
-        mid = 0.5 * (lo + hi)
-        below = dist.cdf(mid) < s
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+        return dist.quantile
+    comps = [law for _, law in dist.components]
+    cdf = dist.cdf
+
+    def _invert_one(s: float) -> float:
+        qs = [float(comp.quantile(s)) for comp in comps]
+        lo, hi = min(qs), max(qs)
+        if hi - lo <= 1e-15 * max(1.0, abs(hi)):
+            return lo
+        return brentq(lambda x: float(cdf(x)) - s, lo, hi, xtol=1e-13, rtol=8.9e-16)
+
+    return _invert_one
 
 
 class _BridgeTail:
-    """R(u) = integral of nu(s) over [min(u, s_z), s_z], on a dense grid."""
+    """R(u) = integral of q(Q(s)) over [min(u, s_z), s_z], on a dense grid."""
 
-    def __init__(self, kernels: KernelSet, grid_points: int = 20001):
+    def __init__(self, dist, kernels: "_NestedKernels", grid_points: int = 20001):
         s_z = kernels.s_poor
         self.s_z = s_z
         if s_z <= 0.0:
@@ -139,8 +143,7 @@ class _BridgeTail:
             return
         s = np.linspace(0.0, s_z, grid_points)
         mids = 0.5 * (s[1:] + s[:-1])
-        nu_mid = -2.0 * bisection_quantile(kernels.source, mids) / kernels.mu
-        steps = np.diff(s) * nu_mid
+        steps = np.diff(s) * kernels.q(dist.quantile(mids))
         cum = np.concatenate([[0.0], np.cumsum(steps)])
         # R(u) = total - cumulative up to u
         self.grid = s
@@ -163,17 +166,18 @@ def gap_variance_influence_oracle(groups, weights, config,
     weights = np.asarray(weights, dtype=float)
     pooled = mixture(groups, weights)
     settings = QuadratureSettings(abs_tol=quad_tol)
-    k_glob = KernelSet(pooled, config, settings)
-    k_grp = [KernelSet(g, config, settings) for g in groups]
-    r_glob = _BridgeTail(k_glob)
-    r_grp = [_BridgeTail(k) for k in k_grp]
+    k_glob = _NestedKernels(pooled, config, settings)
+    k_grp = [_NestedKernels(g, config, settings) for g in groups]
+    r_glob = _BridgeTail(pooled, k_glob)
+    r_grp = [_BridgeTail(g, k) for g, k in zip(groups, k_grp)]
 
     # h-dependent centering constants
     e_g_h, c_h, t_h = [], [], []
     for h, grp in enumerate(groups):
         e_g_h.append(quad(lambda t: float(k_grp[h].g(grp.quantile(t))), 0, 1,
                           points=[k_grp[h].s_poor], limit=200)[0])
-        c_h.append(quad(lambda s: s * float(k_grp[h].nu(s)) if s < k_grp[h].s_poor else 0.0,
+        c_h.append(quad(lambda s: s * float(k_grp[h].q(grp.quantile(s)))
+                        if s < k_grp[h].s_poor else 0.0,
                         0, 1, points=[k_grp[h].s_poor], limit=200)[0])
         t_h.append(takayama_population(grp, config, settings).value)
 
@@ -236,6 +240,25 @@ class GapComponents:
         return self.theta1_sq + self.theta3_sq
 
 
+def _empirical_kernels(dist, config):
+    """(g, q) of a sorted sample as functions of income, with F_n the
+    right-continuous step CDF and P(h) the sample mean of h."""
+    x, mu = dist.sorted_values, dist.mean
+    f_at = np.searchsorted(x, x, side="right") / dist.size
+    p_h = float((x * (1.0 - f_at) * config.poor_mask(x)).mean())
+
+    def g(v):
+        v = np.asarray(v, dtype=float)
+        h = v * (1.0 - np.asarray(empirical_cdf(dist, v), dtype=float)) * config.poor_mask(v)
+        return 2.0 * (p_h * v / mu ** 2 - h / mu)
+
+    def q(v):
+        v = np.asarray(v, dtype=float)
+        return -2.0 * (v * config.poor_mask(v)) / mu
+
+    return g, q
+
+
 def cell_sum_gap_variance_oracle(part, config, index_functional=None) -> GapComponents:
     """The seven A/B components and three thetas of an empirical partition,
     each integral summed exactly over quantile cells (O(K^3 n) loops).
@@ -248,8 +271,7 @@ def cell_sum_gap_variance_oracle(part, config, index_functional=None) -> GapComp
     if index_functional is None:
         def index_functional(dist):
             return takayama_empirical(dist, config).value
-    pooled = part.pooled
-    k_glob = KernelSet(pooled, config)
+    g_glob, q_glob = _empirical_kernels(part.pooled, config)
     groups = part.groups
     k = len(groups)
     p = np.array([g.weight for g in groups])
@@ -259,10 +281,10 @@ def cell_sum_gap_variance_oracle(part, config, index_functional=None) -> GapComp
     d_arrs, w_arrs, c_arrs = [], [], []
     for grp in groups:
         xi = grp.dist.sorted_values
-        ki = KernelSet(grp.dist, config)
-        c = k_glob.q(xi)
-        d_arrs.append(k_glob.g(xi) - ki.g(xi))
-        w_arrs.append(grp.weight * c - ki.q(xi))
+        g_i, q_i = _empirical_kernels(grp.dist, config)
+        c = q_glob(xi)
+        d_arrs.append(g_glob(xi) - g_i(xi))
+        w_arrs.append(grp.weight * c - q_i(xi))
         c_arrs.append(c)
         xs.append(xi)
         sizes.append(grp.dist.size)
@@ -349,7 +371,7 @@ def cell_sum_gap_variance_oracle(part, config, index_functional=None) -> GapComp
     mean_scalars = []
     gap_scalars = []
     for h in range(k):
-        e_g = float(k_glob.g(xs[h]).mean())
+        e_g = float(g_glob(xs[h]).mean())
         mixed_moment = 0.0
         for i in range(k):
             mixed_moment += p[i] * float(np.mean(group_cdf_at(h, xs[i]) * c_arrs[i]))
@@ -510,13 +532,13 @@ def takayama_empirical_oracle(dist, config) -> IndexValue:
 def cell_sum_sigma_oracle(dist, config) -> VarianceDecomposition:
     """Plug-in variance of one sorted sample with every integral summed
     exactly over the n quantile cells (the route takayama.asymptotics took
-    before its influence core): kernels from KernelSet, ranks of tied
-    values from searchsorted, and the bridge suffix sum in full.  On
+    before its influence core): kernels from _empirical_kernels, ranks of
+    tied values from searchsorted, and the bridge suffix sum in full.  On
     tie-free data it differs from the influence moments by O(1/n)."""
-    kernels = KernelSet(dist, config)
+    g, _ = _empirical_kernels(dist, config)
     x = dist.sorted_values
     n = dist.size
-    g_at = kernels.g(x)
+    g_at = g(x)
     p_g = float(g_at.mean())
     sigma1 = float(np.mean((g_at - p_g) ** 2))
 
@@ -642,7 +664,7 @@ class _NestedKernels:
         self.mu = dist.mean
         self.cdf = dist.cdf
         self.s_poor = float(np.clip(dist.cdf(config.poverty_line), 0.0, 1.0))
-        quantile = dist.quantile
+        quantile = brentq_quantile(dist)
         self.kinks = _kinks(dist, [law for _, law in dist.components])
         self.p_h = _quad(lambda s: float(quantile(s)) * (1.0 - s), 0.0, self.s_poor, settings,
                          self.kinks)
@@ -671,7 +693,7 @@ def nested_sigma_oracle(dist, config,
     s_z = kernels.s_poor
     if s_z <= 0.0:
         return VarianceDecomposition.assemble(0.0, 0.0, 0.0)
-    quantile = dist.quantile
+    quantile = brentq_quantile(dist)
     inner = settings.tighter()
     kinks = kernels.kinks
 
@@ -723,7 +745,7 @@ def nested_gap_variance_oracle(part, config,
         def index_functional(dist):
             kernel = kernels[[g.dist for g in groups].index(dist)]
             return 1.0 - 2.0 * kernel.p_h / kernel.mu
-    quantiles = [g.dist.quantile for g in groups]
+    quantiles = [brentq_quantile(g.dist) for g in groups]
     cdfs = [g.dist.cdf for g in groups]
     s_star = [ki.s_poor for ki in kernels]
     inner = settings.tighter()

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from takayama import (IncomeSample, KernelSet, NumericalError, PovertyConfig,
+from takayama import (DEFAULT_QUADRATURE, IncomeSample, NumericalError, PovertyConfig,
                       QuadratureSettings, bootstrap_variance, build_empirical,
                       confidence_interval, empirical_distribution_from_values,
                       exponential, kolmogorov_critical_value, lognormal,
                       normal_quantile, pareto, representation_residual,
-                      sigma_analytic, sigma_plugin, takayama_population, uniform)
+                      sigma_analytic, sigma_plugin, uniform)
+from takayama.asymptotics import influence_rows
+from takayama.population import bind
 
 from _oracles import (bisection_normal_quantile, bridge_cell_integral,
                       bridge_quadratic_step, brute_force_sigma2,
@@ -24,36 +26,35 @@ CFG1 = PovertyConfig(1.0)
 
 
 def test_kernel_values_uniform():
-    kernels = KernelSet(uniform(0.0, 1.0), CFG1)
-    assert kernels.h(0.5) == pytest.approx(0.25, abs=1e-12)
-    assert kernels.q(0.5) == pytest.approx(-2.0, abs=1e-12)
-    assert kernels.g(0.5) == pytest.approx(-1 / 3, abs=1e-9)
-    assert kernels.ell(0.5) == 0.5
-    assert kernels.nu(0.25) == pytest.approx(-1.0, abs=1e-12)
+    law = bind(uniform(0.0, 1.0), CFG1, DEFAULT_QUADRATURE)
+    assert law.p_h == pytest.approx(1 / 6, abs=1e-12)
+    assert law.g(np.array([0.5]), np.array([[0.5]]))[0] == pytest.approx(-1 / 3, abs=1e-9)
+    # At 0.5 in a sample with mean 0.5 and F_n(0.5) = 1/2: h(0.5) = 0.25,
+    # the only nonzero h, so P(h) = 0.25 / 4; q(0.5) = -2 is n times the
+    # step of B there.
+    x = np.array([[0.0, 0.5, 0.75, 0.75]])
+    g, b = influence_rows(x, x.mean(axis=1), CFG1)
+    h, p_h = 0.25, 0.25 / 4
+    assert g[0, 1] == pytest.approx(2.0 * (p_h * 0.5 / 0.5 ** 2 - h / 0.5), abs=1e-12)
+    assert 4.0 * (b[0, 1] - b[0, 2]) == pytest.approx(-2.0, abs=1e-12)
 
 
 def test_kernels_vanish_beyond_line():
-    kernels = KernelSet(uniform(0.0, 2.0), CFG1)
-    assert kernels.h(1.5) == 0.0
-    assert kernels.q(1.5) == 0.0
-    assert kernels.ell(1.5) == 0.0
+    x = np.linspace(0.05, 1.95, 39)[np.newaxis, :]
+    g, b = influence_rows(x, x.mean(axis=1), CFG1)
+    beyond = x[0] > 1.0
+    assert np.all(b[0, beyond] == 0.0)
     # g is linear above the line
-    g_a = kernels.g(1.2)
-    g_b = kernels.g(1.8)
-    assert g_a / 1.2 == pytest.approx(g_b / 1.8, rel=1e-9)
-
-
-def test_kernel_nu_argument_error():
-    kernels = KernelSet(uniform(0.0, 1.0), CFG1)
-    with pytest.raises(ValueError):
-        kernels.nu(1.0)
+    ratios = g[0, beyond] / x[0, beyond]
+    assert ratios == pytest.approx(np.full(ratios.size, ratios[0]), rel=1e-9)
 
 
 def test_centered_kernel_mean_near_zero(rng):
-    emp = build_empirical(IncomeSample(rng.random(500)))
-    assert abs(KernelSet(emp, CFG1).p_g) < 1e-12
-    assert abs(KernelSet(uniform(0.0, 1.0), CFG1).p_g) < 1e-9
-    assert abs(KernelSet(exponential(1.3), CFG1).p_g) < 1e-9
+    x = np.sort(rng.random(500))[np.newaxis, :]
+    g, _ = influence_rows(x, x.mean(axis=1), CFG1)
+    assert abs(g.mean()) < 1e-12
+    assert abs(bind(uniform(0.0, 1.0), CFG1, DEFAULT_QUADRATURE).mean_g()) < 1e-9
+    assert abs(bind(exponential(1.3), CFG1, DEFAULT_QUADRATURE).mean_g()) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -238,25 +239,20 @@ def test_kolmogorov_critical_value_known_constant():
 
 def test_residual_smoke_single_observation():
     value = representation_residual(np.array([0.5]), uniform(0.0, 1.0), CFG1)
-    assert math.isfinite(value)
+    assert value.shape == (1,) and math.isfinite(value[0])
 
 
 def test_residual_line_below_support_is_exactly_inverse_root_n():
     dist = pareto(2.0, 3.0)
     values = np.asarray(dist.quantile(np.linspace(0.05, 0.95, 37)), dtype=float)
     got = representation_residual(values, dist, CFG1)
-    assert got == pytest.approx(1 / math.sqrt(37), abs=1e-12)
+    assert got[0] == pytest.approx(1 / math.sqrt(37), abs=1e-12)
 
 
 def test_residual_shrinks_with_n(rng):
     dist = uniform(0.0, 1.0)
-    kernels = KernelSet(dist, CFG1)
-    truth = takayama_population(dist, CFG1).value
     medians = []
     for n in (100, 1600):
-        vals = [abs(representation_residual(rng.random(n), dist, CFG1,
-                                            kernels=kernels,
-                                            population_value=truth))
-                for _ in range(120)]
+        vals = np.abs(representation_residual(rng.random((120, n)), dist, CFG1))
         medians.append(np.median(vals))
     assert medians[1] < medians[0]

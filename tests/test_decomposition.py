@@ -11,10 +11,10 @@ from takayama import (ConfidenceInterval, GapVariance, IncomeSample,
                       Subgroup, analytic_partition, build_empirical,
                       decomposability_gap, decomposition, draw_mixture_sample,
                       empirical_cdf, exponential, fgt_index, gap_variance,
-                      lognormal, mixture, partition, recompose_interval,
+                      lognormal, mixture, pareto, partition, recompose_interval,
                       uniform, MixtureModel)
 
-from _oracles import (GapComponents, bisection_quantile, brute_force_gap_thetas,
+from _oracles import (GapComponents, brentq_quantile, brute_force_gap_thetas,
                       cell_sum_gap_variance_oracle, gap_variance_influence_oracle,
                       nested_gap_variance_oracle)
 
@@ -274,11 +274,34 @@ def test_gap_variance_matches_influence_oracle_three_groups():
     assert gv.mixed_centered_total == pytest.approx(v_gd0, rel=5e-4)
 
 
-def test_oracle_bisection_quantile_matches_mixture_brentq():
-    # the influence oracle's grid inverts the pooled mixture by bisection
-    pooled = mixture([exponential(1.0), exponential(0.5), uniform(0.0, 2.0)], [0.5, 0.3, 0.2])
+QUANTILE_MIXTURES = [
+    ((exponential(1.0), exponential(0.5), uniform(0.0, 2.0)), (0.5, 0.3, 0.2)),
+    ((exponential(1.0), lognormal(0.0, 0.8), pareto(1.0, 3.0)), (0.5, 0.3, 0.2)),
+]
+
+
+def test_mixture_quantile_matches_brentq_oracle():
     s = np.linspace(0.0005, 0.9995, 200)
-    assert np.max(np.abs(bisection_quantile(pooled, s) - pooled.quantile(s))) <= 1e-12
+    for components, weights in QUANTILE_MIXTURES:
+        pooled = mixture(components, weights)
+        reference = brentq_quantile(pooled)
+        want = np.array([reference(v) for v in s])
+        assert np.max(np.abs(pooled.quantile(s) - want)) <= 1e-12
+
+
+def test_mixture_quantile_is_the_left_continuous_inverse():
+    # Q(1) lies past every finite support end: F(2) = 0.93 here.  (The
+    # exponential's own Q(1) = inf divides by zero in log1p.)
+    with np.errstate(divide="ignore"):
+        assert mixture(*QUANTILE_MIXTURES[0]).quantile(1.0) == math.inf
+    # F is flat at 0.5 over [1, 2]; inf{x : F(x) >= 0.5} is its left end.
+    gapped = mixture([uniform(0.0, 1.0), uniform(2.0, 3.0)], [0.5, 0.5])
+    assert gapped.quantile(0.5) == pytest.approx(1.0, abs=1e-12)
+    heavy = mixture(*QUANTILE_MIXTURES[1])
+    assert heavy.quantile(0.0) == 0.0
+    assert np.isnan(heavy.quantile(np.nan))
+    assert np.shape(heavy.quantile(0.3)) == ()
+    assert heavy.quantile(np.array([[0.0, np.nan], [0.3, 0.6]])).shape == (2, 2)
 
 
 def test_empirical_gap_variance_consistent_with_analytic(rng):

@@ -457,14 +457,43 @@ def test_cli_simulate_loads_no_scipy_solvers(target, tmp_path):
 
 
 def test_population_functionals_load_no_scipy_solvers():
-    code = ("from takayama import *\n"
+    code = ("import numpy as np\n"
+            "from takayama import *\n"
             "laws = [uniform(0, 1), exponential(1), lognormal(0, 0.8), pareto(1, 3)]\n"
             "cfg = PovertyConfig(1.0)\n"
             "pooled = mixture(laws, [0.25] * 4)\n"
             "takayama_population(pooled, cfg)\n"
             "sigma_analytic(pooled, cfg)\n"
-            "KernelSet(pooled, cfg)\n"
+            "pooled.quantile(np.linspace(0.01, 0.99, 5))\n"
             "part = analytic_partition(list(zip('abcd', laws, [0.25] * 4)))\n"
             "decomposability_gap(part, cfg)\n"
             "gap_variance(part, cfg)\n")
+    assert _scipy_modules_after(code) == "[]"
+
+
+def test_runtime_runs_with_scipy_blocked(survey_csv, tmp_path):
+    # An import hook refuses scipy, as if it were not installed.
+    output = ["--output", str(tmp_path / "report.txt")]
+    runs = [["index", "--poverty-line", "4.5", "--input", survey_csv, *output],
+            ["decompose", "--poverty-line", "4.5", "--group-column", "region",
+             "--input", survey_csv, *output]]
+    runs += [["simulate", "--model", "uniform:0,1", "--model", "lognormal:0,0.8", "--z", "1",
+              "--n", "50", "--reps", "5", "--seed", "3", "--target", target, *output]
+             for target in ("takayama", "gap")]
+    code = ("import importlib.abc, sys\n"
+            "class RefuseScipy(importlib.abc.MetaPathFinder):\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.split('.')[0] == 'scipy':\n"
+            "            raise ImportError(f'no module named {name!r}')\n"
+            "sys.meta_path.insert(0, RefuseScipy())\n"
+            "import numpy as np\n"
+            "from takayama import *\n"
+            "from takayama.cli import cli_dispatch\n"
+            f"for argv in {runs!r}:\n"
+            "    assert cli_dispatch(argv) == 0, argv\n"
+            "pooled = mixture([exponential(1), lognormal(0, 0.8), pareto(1, 3)], [0.5, 0.3, 0.2])\n"
+            "assert np.isfinite(pooled.quantile(np.linspace(0.01, 0.99, 9))).all()\n"
+            "draws = np.random.default_rng(1).random((4, 50))\n"
+            "assert np.isfinite(representation_residual(draws, uniform(0, 1),\n"
+            "                                           PovertyConfig(1.0))).all()\n")
     assert _scipy_modules_after(code) == "[]"

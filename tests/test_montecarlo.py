@@ -418,22 +418,3 @@ def test_bootstrap_rejects_non_finite_values():
     with pytest.raises(ValueError):
         bootstrap_variance([1.0, float("nan"), 2.0], CFG1, 100, seed=1)
 
-
-def test_negative_component_flags_only_its_replicate(monkeypatch):
-    # The sigma1^2 / sigma2^2 >= -1e-9 check of VarianceDecomposition holds
-    # row by row: a failing row keeps its index, loses its variance and is
-    # flagged, and the rest of its chunk is untouched.
-    def one_negative(*args, **kwargs):
-        scored = plugin_rows(*args, **kwargs)
-        scored.sigma2_sq[1] = -1e-6
-        return scored
-
-    study = ReplicateStudy(uniform(0.0, 1.0), 300, 5, 3, CFG1)
-    clean = run_replicates(study).records
-    monkeypatch.setattr(montecarlo, "plugin_rows", one_negative)
-    flagged = run_replicates(study).records
-    assert flagged.degenerate.tolist() == [False, True, False, False, False]
-    assert np.isnan(flagged.variances[1]) and not flagged.ci_hits[1]
-    assert np.array_equal(flagged.values, clean.values)
-    keep = [0, 2, 3, 4]
-    assert np.array_equal(flagged.variances[keep], clean.variances[keep])
