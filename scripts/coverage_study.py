@@ -9,7 +9,7 @@ import argparse
 
 import numpy as np
 
-from takayama import (MixtureModel, PovertyConfig, ReplicateStudy, ks_normality,
+from takayama import (PovertyConfig, ReplicateStudy, ks_normality, mixture,
                       parse_distribution, run_replicates, sigma_analytic)
 
 
@@ -28,16 +28,16 @@ def main() -> None:
         weights = tuple(float(w) for w in args.weights.split(","))
     else:
         weights = tuple(1.0 / len(components) for _ in components)
-    model = MixtureModel(components, weights)
+    model = mixture(components, weights)
     config = PovertyConfig(args.z)
-    analytic_total = sigma_analytic(model.to_distribution(), config).total
+    analytic_total = sigma_analytic(model, config).total
 
-    print(f"model: {model.to_distribution().identifier}  Z={args.z}")
+    print(f"model: {model.identifier}  Z={args.z}")
     print(f"analytic variance: {analytic_total:.6f}")
     print(f"{'n':>6}  {'coverage':>8}  {'mc var':>9}  {'mean plug':>9}  {'KS':>7}  pass")
     for n in (int(tok) for tok in args.sizes.split(",")):
         study = ReplicateStudy(model, n, args.reps, args.seed, config)
-        records = run_replicates(study).records
+        records = run_replicates(study)
         scaled = records.scaled_deviations(n)
         ks = ks_normality(scaled) if scaled.size >= 100 else None
         print(f"{n:>6}  {records.coverage():>8.4f}  {scaled.var(ddof=1):>9.5f}  "

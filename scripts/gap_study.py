@@ -10,9 +10,9 @@ import argparse
 
 import numpy as np
 
-from takayama import (MixtureModel, PovertyConfig, ReplicateStudy,
-                      decomposability_gap, gap_variance, parse_distribution,
-                      population_truth, run_replicates, takayama_population)
+from takayama import (PovertyConfig, ReplicateStudy, analytic_partition,
+                      decomposability_gap, gap_variance, mixture, parse_distribution,
+                      run_replicates)
 
 
 def main() -> None:
@@ -30,13 +30,13 @@ def main() -> None:
         weights = tuple(float(w) for w in args.weights.split(","))
     else:
         weights = tuple(1.0 / len(components) for _ in components)
-    model = MixtureModel(components, weights)
+    model = mixture(components, weights)
     config = PovertyConfig(args.z)
 
-    part = model.to_partition()
+    part = analytic_partition([(str(i), law, w) for i, (w, law) in enumerate(model.parts)])
     estimate = decomposability_gap(part, config)
     variance = gap_variance(part, config)
-    print(f"mixture: {model.to_distribution().identifier}  Z={args.z}")
+    print(f"mixture: {model.identifier}  Z={args.z}")
     for grp, local in zip(part.groups, estimate.local_indices):
         print(f"  group {grp.label} ({grp.dist.identifier}): T = {local:.6f}")
     print(f"global T = {estimate.global_index:.6f}")
@@ -47,7 +47,7 @@ def main() -> None:
     print(f"Var sqrt(n)(gd_n - gd0) = {variance.mixed_centered_total:.6f}")
 
     study = ReplicateStudy(model, args.n, args.reps, args.seed, config)
-    records = run_replicates(study, target="gap", compute_variance=False).records
+    records = run_replicates(study, target="gap", compute_variance=False)
     scaled = records.scaled_deviations(args.n)
     print(f"Monte Carlo ({args.reps} reps at n={args.n}): "
           f"mean gd_n = {float(np.nanmean(records.values)):.6f}, "

@@ -13,9 +13,9 @@ from .errors import DataFormatError, NumericalError, QuadratureError
 from .indices import (FGT, TAKAYAMA_EMPIRICAL, TAKAYAMA_POPULATION, IndexValue,
                       fgt_index, takayama_empirical, takayama_population,
                       takayama_rows)
-from .montecarlo import (KsNormalityResult, MixtureModel, ReplicateRecords,
-                         ReplicateStudy, bootstrap_variance, draw_mixture_sample,
-                         ks_normality, population_truth, run_replicates)
+from .montecarlo import (KsNormalityResult, ReplicateRecords, ReplicateStudy,
+                         bootstrap_variance, draw_mixture_sample, ks_normality,
+                         population_truth, run_replicates)
 from .normal import kolmogorov_critical_value, normal_cdf, normal_quantile
 from .quadrature import DEFAULT_QUADRATURE, QuadratureSettings, integrate
 from .samples import (EmpiricalDistribution, IncomeSample, PovertyConfig,
@@ -29,7 +29,7 @@ __all__ = [
     "AnalyticDistribution", "ConfidenceInterval", "DataFormatError",
     "DEFAULT_QUADRATURE", "EmpiricalDistribution", "FGT", "GapEstimate",
     "GapVariance", "IncomeSample", "IndexValue",
-    "KsNormalityResult", "MixtureModel", "NumericalError", "PluginRows",
+    "KsNormalityResult", "NumericalError", "PluginRows",
     "PovertyConfig",
     "QuadratureError", "QuadratureSettings", "ReplicateRecords",
     "ReplicateStudy", "Subgroup", "SubgroupPartition", "TAKAYAMA_EMPIRICAL",

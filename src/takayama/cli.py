@@ -14,12 +14,11 @@ import numpy as np
 
 from .asymptotics import confidence_interval, sigma_plugin
 from .decomposition import decomposability_gap, gap_variance, partition, recompose_interval
-from .distributions import parse_distribution
+from .distributions import mixture, parse_distribution
 from .errors import DataFormatError, NumericalError
 from .indices import takayama_empirical
 from .io import CSV, JSON, TEXT, RunConfig, emit_report, ingest_csv, load_report
-from .montecarlo import (MixtureModel, ReplicateStudy, ks_normality,
-                         population_truth, run_replicates)
+from .montecarlo import ReplicateStudy, ks_normality, run_replicates
 from .samples import build_empirical
 
 
@@ -178,17 +177,16 @@ def _simulate_report(args: argparse.Namespace, run: RunConfig) -> dict:
         weights = [float(tok) for tok in args.weights.split(",")]
     else:
         weights = [1.0 / len(components)] * len(components)
-    model = MixtureModel(tuple(components), tuple(weights))
+    model = mixture(components, weights)
     config = run.poverty()
     study = ReplicateStudy(model, run.sample_size, run.replicates, run.seed, config)
-    study = run_replicates(study, target=args.target, threads=run.threads,
-                           quad=run.quadrature())
-    records = study.records
+    records = run_replicates(study, target=args.target, threads=run.threads,
+                             quad=run.quadrature())
     deviations = records.scaled_deviations(run.sample_size)
     ks = (ks_normality(deviations) if deviations.size >= 100 else None)
     return {
         "kind": "simulation",
-        "model": model.to_distribution().identifier,
+        "model": model.identifier,
         "target": records.target,
         "truth": records.truth,
         "replicates": run.replicates,

@@ -42,7 +42,6 @@ from .samples import (EmpiricalDistribution, IncomeSample, PovertyConfig,
                       build_empirical)
 
 GroupDistribution = Union[EmpiricalDistribution, AnalyticDistribution]
-IndexFunctional = Callable[[GroupDistribution], float]
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,7 +198,7 @@ class GapVariance:
 
     Both routes take theta1^2 as a weighted sum of within-group variances
     of influence values a_h = phi_pool - phi_h, and the per-group scalars
-    as E_h a_h (gap_scalars subtract the index functional).
+    as E_h a_h (gap_scalars subtract the group's own index).
     """
     theta1_sq: float
     theta2_sq: float
@@ -258,24 +257,19 @@ def _weighted_variance(values: Sequence[float], weights: np.ndarray) -> float:
 
 
 def gap_variance(part: SubgroupPartition, config: PovertyConfig,
-                 quad: QuadratureSettings = DEFAULT_QUADRATURE,
-                 index_functional: Optional[IndexFunctional] = None) -> GapVariance:
+                 quad: QuadratureSettings = DEFAULT_QUADRATURE) -> GapVariance:
     """The three thetas and the per-group scalars, on the empirical or the
     analytic route by the partition kind.
 
-    index_functional maps a subgroup distribution to the scalar the gap
-    scalars subtract; the default is the Takayama index itself (empirical
-    or population, matching the partition kind).
+    The gap scalars subtract each group's own Takayama index (empirical or
+    population, matching the partition kind) from its mean scalar.
     """
-    if index_functional is None:
-        def index_functional(dist: GroupDistribution) -> float:
-            return _default_index(dist, config, quad)
     if part.is_empirical:
         theta1, mean_scalars = _empirical_gap_influence(part, config)
     else:
         theta1, mean_scalars = gap_influence([g.dist for g in part.groups], part.weights,
                                              part.pooled.mean, config, quad)
-    gap_scalars = [m_h - index_functional(g.dist)
+    gap_scalars = [m_h - _default_index(g.dist, config, quad)
                    for m_h, g in zip(mean_scalars, part.groups)]
     p = part.weights
     return GapVariance(theta1, _weighted_variance(gap_scalars, p),

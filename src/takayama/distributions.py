@@ -42,6 +42,11 @@ class AnalyticDistribution:
         if not self.mean > 0:
             raise ValueError(f"distribution mean must be positive, got {self.mean}")
 
+    @property
+    def parts(self) -> Tuple[Tuple[float, "AnalyticDistribution"], ...]:
+        """The (weight, plain law) parts; a plain law is its own one part."""
+        return self.components or ((1.0, self),)
+
 
 def uniform(a: float, b: float) -> AnalyticDistribution:
     if not 0 <= a < b:
@@ -68,7 +73,8 @@ def exponential(rate: float) -> AnalyticDistribution:
         return np.where(x > 0, -np.expm1(-rate * np.maximum(x, 0.0)), 0.0)
 
     def quantile(s):
-        return -np.log1p(-np.asarray(s, dtype=float)) / rate
+        with np.errstate(divide="ignore"):  # Q(1) = inf
+            return -np.log1p(-np.asarray(s, dtype=float)) / rate
 
     return AnalyticDistribution(cdf, quantile, 1.0 / rate, f"exponential({rate:g})",
                                 support=(0.0, math.inf),
@@ -109,7 +115,8 @@ def pareto(scale: float, shape: float) -> AnalyticDistribution:
 
     def quantile(s):
         s = np.asarray(s, dtype=float)
-        return scale * (1.0 - s) ** (-1.0 / shape)
+        with np.errstate(divide="ignore"):  # Q(1) = inf
+            return scale * (1.0 - s) ** (-1.0 / shape)
 
     m2 = shape * scale * scale / (shape - 2.0) if shape > 2 else math.inf
     return AnalyticDistribution(cdf, quantile, shape * scale / (shape - 1.0),
@@ -120,6 +127,11 @@ def pareto(scale: float, shape: float) -> AnalyticDistribution:
 def mixture(components: Sequence[AnalyticDistribution],
             weights: Sequence[float]) -> AnalyticDistribution:
     """Finite mixture sum(p_i * F_i), flattened into its plain components.
+
+    One component of weight 1 is returned as it is.  A mixture of mixtures
+    keeps only the plain laws as its parts, so a study of it draws and
+    groups by those.  E X^2 is inf when any component's is, and unknown
+    (None) otherwise unless every component knows its own.
 
     The quantile is the left-continuous inverse inf{x : F(x) >= s}, found
     for all points at once by bisection on the CDF between the smallest and
@@ -134,8 +146,9 @@ def mixture(components: Sequence[AnalyticDistribution],
         raise ValueError("mixture weights must be positive")
     if abs(w.sum() - 1.0) > 1e-12:
         raise ValueError(f"mixture weights must sum to 1, got {w.sum()!r}")
-    parts = tuple((float(p) * q, part) for p, comp in zip(w, comps)
-                  for q, part in (comp.components or ((1.0, comp),)))
+    if len(comps) == 1:
+        return comps[0]
+    parts = tuple((float(p) * q, part) for p, comp in zip(w, comps) for q, part in comp.parts)
 
     def cdf(x):
         x = np.asarray(x, dtype=float)
@@ -162,9 +175,12 @@ def mixture(components: Sequence[AnalyticDistribution],
             hi = np.where(open_ & ~below, mid, hi)
 
     mean = float(np.dot(w, [c.mean for c in comps]))
+    moments = [c.second_moment for c in comps]
     m2 = None
-    if all(c.second_moment is not None for c in comps):
-        m2 = float(np.dot(w, [c.second_moment for c in comps]))
+    if math.inf in moments:
+        m2 = math.inf
+    elif None not in moments:
+        m2 = float(np.dot(w, moments))
     lo = min(c.support[0] for c in comps)
     hi = max(c.support[1] for c in comps)
     label = "mixture(" + ", ".join(f"{p:g}*{c.identifier}" for p, c in zip(w, comps)) + ")"
@@ -173,10 +189,13 @@ def mixture(components: Sequence[AnalyticDistribution],
 
 
 def require_finite_second_moment(dist: AnalyticDistribution) -> None:
-    """Refuse a law with E X^2 = inf: the index's limiting variance, and
-    every interval built on it, needs a finite second moment."""
+    """Refuse a law with E X^2 = inf, naming the part that makes it so: the
+    index's limiting variance, and every interval built on it, needs a
+    finite second moment."""
     if dist.second_moment == math.inf:
-        raise ValueError(f"{dist.identifier} has an infinite second moment; "
+        name = next((law.identifier for _, law in dist.parts
+                     if law.second_moment == math.inf), dist.identifier)
+        raise ValueError(f"{name} has an infinite second moment; "
                          "the index variance needs E X^2 < inf")
 
 

@@ -1,6 +1,10 @@
 """Simulation engine: two-stage mixture sampling, replicate studies,
 a bootstrap variance oracle, and normality/coverage diagnostics.
 
+A study's model is one AnalyticDistribution.  Its (weight, plain law)
+parts (AnalyticDistribution.parts; a plain law is its own one part) are
+what a draw picks from, and they label the groups of a gap study.
+
 Randomness contract: PCG64 generators (numpy default_rng).  Each replicate
 gets an independent substream derived from the study seed and the
 replicate index through SeedSequence spawn keys, and results are written
@@ -18,21 +22,19 @@ replicates ran slower than one thread.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
 from .asymptotics import plugin_rows
 from .decomposition import analytic_partition, decomposability_gap, gap_variance, partition
-from .distributions import AnalyticDistribution, mixture, require_finite_second_moment
+from .distributions import AnalyticDistribution, require_finite_second_moment
 from .errors import NumericalError
 from .indices import takayama_population, takayama_rows
 from .normal import kolmogorov_critical_value, ndtr, normal_quantile
 from .quadrature import DEFAULT_QUADRATURE, QuadratureSettings
 from .samples import IncomeSample, PovertyConfig, build_empirical, standardize
-
-Model = Union["MixtureModel", AnalyticDistribution]
 
 TARGET_TAKAYAMA = "takayama"
 TARGET_GAP = "gap"
@@ -42,81 +44,55 @@ TARGET_GAP = "gap"
 CHUNK_ELEMENTS = 2 ** 14
 
 
-@dataclass(frozen=True, eq=False)
-class MixtureModel:
-    """Components with drawing probabilities; group labels record indices."""
-    components: Tuple[AnalyticDistribution, ...]
-    weights: Tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        if len(self.components) != len(self.weights) or not self.components:
-            raise ValueError("components and weights must be non-empty and match")
-        if min(self.weights) <= 0:
-            raise ValueError("mixture weights must be positive")
-        if abs(math.fsum(self.weights) - 1.0) > 1e-12:
-            raise ValueError(f"mixture weights must sum to 1, got {math.fsum(self.weights)!r}")
-
-    def to_distribution(self) -> AnalyticDistribution:
-        if len(self.components) == 1:
-            return self.components[0]
-        return mixture(self.components, self.weights)
-
-    def to_partition(self):
-        return analytic_partition(
-            [(str(i), comp, w) for i, (comp, w) in
-             enumerate(zip(self.components, self.weights))])
-
-
 def _replicate_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed,
                                                         spawn_key=(index,)))
 
 
-def draw_mixture_sample(model: MixtureModel, n: int,
+def draw_mixture_sample(dist: AnalyticDistribution, n: int,
                         seed: Union[int, np.random.Generator]) -> IncomeSample:
-    """n two-stage draws: pick a component by weight, then invert its CDF.
+    """n two-stage draws: pick a part of dist by weight, then invert its CDF.
 
-    Labels record the drawn component index as a string.  Deterministic for
-    a given seed: one uniform vector selects components, a second feeds the
+    Labels record the drawn part's index as a string.  Deterministic for
+    a given seed: one uniform vector selects parts, a second feeds their
     quantile functions.
     """
     if n < 1:
         raise ValueError(f"sample size must be at least 1, got {n}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    values, picks = _draw_rows(model, n, [rng])
-    return IncomeSample(values[0], group_labels=_component_labels(model)[picks[0]])
+    values, picks = _draw_rows(dist, n, [rng])
+    return IncomeSample(values[0], group_labels=_part_labels(dist)[picks[0]])
 
 
-def _component_labels(model: MixtureModel) -> np.ndarray:
-    return np.array([str(i) for i in range(len(model.components))], dtype=object)
+def _part_labels(dist: AnalyticDistribution) -> np.ndarray:
+    return np.array([str(i) for i in range(len(dist.parts))], dtype=object)
 
 
-def _draw_rows(model: MixtureModel, n: int,
+def _draw_rows(dist: AnalyticDistribution, n: int,
                rngs: Sequence[np.random.Generator]) -> Tuple[np.ndarray, np.ndarray]:
     """Row i holds n two-stage draws from rngs[i]: random(n) picks the
-    components, a second random(n) feeds their quantile functions.
+    parts of dist, a second random(n) feeds their quantile functions.
 
-    Returns the (rows, n) values and component indices.  The pick equals
+    Returns the (rows, n) values and part indices.  The pick equals
     searchsorted(cumulative weights, u, side="right") clipped to the last
-    component, and each component's quantile runs once on the whole chunk.
+    part, and each part's quantile runs once on the whole chunk.
     """
+    weights, laws = zip(*dist.parts)
     pick_u = np.empty((len(rngs), n))
     quantile_u = np.empty((len(rngs), n))
     for i, rng in enumerate(rngs):
         rng.random(n, out=pick_u[i])
         rng.random(n, out=quantile_u[i])
     picks = np.zeros(pick_u.shape, dtype=np.intp)
-    for edge in np.cumsum(model.weights)[:-1]:
+    for edge in np.cumsum(weights)[:-1]:
         picks += pick_u >= edge
     values = np.empty(pick_u.shape)
-    for i, comp in enumerate(model.components):
+    for i, law in enumerate(laws):
         # Positions rather than a boolean mask: a mask gather and scatter
         # mispredict on every random pick and cost several times more.
         at = np.flatnonzero(picks == i)
         if at.size:
-            values.flat[at] = comp.quantile(quantile_u.take(at))
+            values.flat[at] = law.quantile(quantile_u.take(at))
     return values, picks
 
 
@@ -146,13 +122,12 @@ class ReplicateRecords:
 
 @dataclass(frozen=True, eq=False)
 class ReplicateStudy:
-    """A reproducible study: model, sizes, seed, and (when run) records."""
-    model: Model
+    """A reproducible study: model, sizes and seed."""
+    model: AnalyticDistribution
     sample_size: int
     replicate_count: int
     seed: int
     config: PovertyConfig
-    records: Optional[ReplicateRecords] = None
 
     def __post_init__(self):
         if self.sample_size < 1:
@@ -160,44 +135,39 @@ class ReplicateStudy:
         if self.replicate_count < 1:
             raise ValueError("replicate_count must be at least 1")
         # Coverage of an interval is only defined when the variance is finite.
-        for component in _as_mixture(self.model).components:
-            require_finite_second_moment(component)
+        require_finite_second_moment(self.model)
 
 
-def _as_mixture(model: Model) -> MixtureModel:
-    if isinstance(model, MixtureModel):
-        return model
-    return MixtureModel((model,), (1.0,))
-
-
-def population_truth(model: Model, config: PovertyConfig, target: str,
+def population_truth(dist: AnalyticDistribution, config: PovertyConfig, target: str,
                      quad: QuadratureSettings = DEFAULT_QUADRATURE) -> float:
-    """Population value of the study statistic (index or gap)."""
-    mix = _as_mixture(model)
+    """Population value of the study statistic: the index of dist, or the
+    gap over its parts as groups."""
     if target == TARGET_TAKAYAMA:
-        return takayama_population(mix.to_distribution(), config, quad).value
+        return takayama_population(dist, config, quad).value
     if target == TARGET_GAP:
-        return decomposability_gap(mix.to_partition(), config, quad).gap
+        part = analytic_partition([(str(i), law, w) for i, (w, law) in enumerate(dist.parts)])
+        return decomposability_gap(part, config, quad).gap
     raise ValueError(f"unknown study target {target!r}")
 
 
 def run_replicates(study: ReplicateStudy, target: str = TARGET_TAKAYAMA,
                    threads: int = 1, compute_variance: bool = True,
-                   quad: QuadratureSettings = DEFAULT_QUADRATURE) -> ReplicateStudy:
-    """Run the study and attach records.
+                   quad: QuadratureSettings = DEFAULT_QUADRATURE) -> ReplicateRecords:
+    """Run the study and return its records.
 
     Degenerate replicates (zero sample mean) are flagged and kept so the
     replicate count stays fixed.  With compute_variance the per-replicate
     plug-in variance and a CI-hit flag against the population truth are
-    recorded; coverage then reads straight off the records.  `threads` is
-    accepted for compatibility and has no effect (see the module notes).
+    recorded; coverage then reads straight off the records.  A gap study
+    needs a model of at least two parts.  `threads` is accepted for
+    compatibility and has no effect (see the module notes).
     """
     if target not in (TARGET_TAKAYAMA, TARGET_GAP):
         raise ValueError(f"unknown study target {target!r}")
-    mix = _as_mixture(study.model)
-    if target == TARGET_GAP and len(mix.components) < 2:
+    model = study.model
+    if target == TARGET_GAP and len(model.parts) < 2:
         raise ValueError("gap studies need a mixture with at least two components")
-    truth = population_truth(mix, study.config, target, quad)
+    truth = population_truth(model, study.config, target, quad)
     n = study.sample_size
     r = study.replicate_count
     config = study.config
@@ -205,12 +175,12 @@ def run_replicates(study: ReplicateStudy, target: str = TARGET_TAKAYAMA,
     values = np.full(r, np.nan)
     variances = np.full(r, np.nan)
     degenerate = np.zeros(r, dtype=bool)
-    labels = _component_labels(mix)
+    labels = _part_labels(model)
     rows = max(1, CHUNK_ELEMENTS // n)
     for start in range(0, r, rows):
         stop = min(start + rows, r)
-        drawn, picks = _draw_rows(mix, n, [_replicate_rng(study.seed, rep)
-                                           for rep in range(start, stop)])
+        drawn, picks = _draw_rows(model, n, [_replicate_rng(study.seed, rep)
+                                             for rep in range(start, stop)])
         if target == TARGET_TAKAYAMA:
             scored = _score_index_rows(drawn, config, compute_variance)
         else:
@@ -224,8 +194,7 @@ def run_replicates(study: ReplicateStudy, target: str = TARGET_TAKAYAMA,
         z = normal_quantile(0.5 * (1.0 + config.confidence_level))
         half = z * np.sqrt(np.maximum(variances, 0.0) / n)
         ci_hits = (values - half <= truth) & (truth <= values + half) & ~degenerate
-    records = ReplicateRecords(target, truth, values, variances, ci_hits, degenerate)
-    return replace(study, records=records)
+    return ReplicateRecords(target, truth, values, variances, ci_hits, degenerate)
 
 
 def _score_index_rows(drawn: np.ndarray, config: PovertyConfig, compute_variance: bool):

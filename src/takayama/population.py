@@ -128,7 +128,7 @@ class Law:
 
 def bind(dist: AnalyticDistribution, config: PovertyConfig,
          quad: QuadratureSettings) -> Law:
-    weights, dists = zip(*(dist.components or ((1.0, dist),)))
+    weights, dists = zip(*dist.parts)
     return Law(Components(dists, config, quad), np.array(weights), dist.mean)
 
 
@@ -152,7 +152,7 @@ def gap_influence(groups: Sequence[AnalyticDistribution], weights: np.ndarray,
                   quad: QuadratureSettings) -> Tuple[float, List[float]]:
     """theta1^2 = sum_h p_h Var_h(a_h) with a_h = phi_pool - phi_h, and the
     per-group scalars E_h a_h, for the pooled law sum_h p_h F_h."""
-    parts = [dist.components or ((1.0, dist),) for dist in groups]
+    parts = [dist.parts for dist in groups]
     position = {law: j for j, law in enumerate(dict.fromkeys(
         law for group in parts for _, law in group))}
     comps = Components(list(position), config, quad)

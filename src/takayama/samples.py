@@ -139,11 +139,8 @@ def empirical_cdf(dist: EmpiricalDistribution, x) -> float | np.ndarray:
 
 
 def empirical_quantile(dist: EmpiricalDistribution, s) -> float | np.ndarray:
-    """Left-limit step quantile: the j-th order statistic on ((j-1)/n, j/n].
-
-    The variance integrals are evaluated against exactly this convention,
-    so boundaries s = j/n map to the j-th order statistic.
-    """
+    """Left-limit step quantile: the j-th order statistic on ((j-1)/n, j/n],
+    so boundaries s = j/n map to the j-th order statistic."""
     arr = np.asarray(s, dtype=float)
     if arr.size and (arr.min() <= 0.0 or arr.max() > 1.0):
         raise ValueError("quantile argument must lie in (0, 1]")

@@ -35,8 +35,8 @@ from takayama.decomposition import (_weighted_variance, decomposability_gap,
 from takayama.errors import DataFormatError, NumericalError, QuadratureError
 from takayama.indices import IndexValue, takayama_empirical, takayama_population
 from takayama.io import RunConfig
-from takayama.montecarlo import (TARGET_TAKAYAMA, ReplicateRecords, _as_mixture,
-                                 _replicate_rng, population_truth)
+from takayama.montecarlo import (TARGET_TAKAYAMA, ReplicateRecords, _replicate_rng,
+                                 population_truth)
 from takayama.quadrature import QuadratureSettings
 from takayama.samples import IncomeSample, build_empirical, empirical_cdf, poor_count
 
@@ -259,7 +259,7 @@ def _empirical_kernels(dist, config):
     return g, q
 
 
-def cell_sum_gap_variance_oracle(part, config, index_functional=None) -> GapComponents:
+def cell_sum_gap_variance_oracle(part, config) -> GapComponents:
     """The seven A/B components and three thetas of an empirical partition,
     each integral summed exactly over quantile cells (O(K^3 n) loops).
 
@@ -268,9 +268,6 @@ def cell_sum_gap_variance_oracle(part, config, index_functional=None) -> GapComp
     same per-group scalars up to a common shift, which their weighted
     variance ignores.
     """
-    if index_functional is None:
-        def index_functional(dist):
-            return takayama_empirical(dist, config).value
     g_glob, q_glob = _empirical_kernels(part.pooled, config)
     groups = part.groups
     k = len(groups)
@@ -377,7 +374,7 @@ def cell_sum_gap_variance_oracle(part, config, index_functional=None) -> GapComp
             mixed_moment += p[i] * float(np.mean(group_cdf_at(h, xs[i]) * c_arrs[i]))
         m_h = e_g - mixed_moment
         mean_scalars.append(m_h)
-        gap_scalars.append(m_h - index_functional(groups[h].dist))
+        gap_scalars.append(m_h - takayama_empirical(groups[h].dist, config).value)
 
     theta2 = _weighted_variance(gap_scalars, p)
     theta3 = _weighted_variance(mean_scalars, p)
@@ -560,20 +557,21 @@ def cell_sum_sigma_oracle(dist, config) -> VarianceDecomposition:
     return VarianceDecomposition.assemble(sigma1, sigma2, sigma12)
 
 
-def draw_mixture_sample_oracle(model, n: int, rng) -> IncomeSample:
+def draw_mixture_sample_oracle(dist, n: int, rng) -> IncomeSample:
     """n two-stage draws from rng: one searchsorted over the cumulative
-    weights picks the components, a second uniform vector feeds their
+    weights of dist's parts picks them, a second uniform vector feeds their
     quantile functions through boolean masks."""
-    cum = np.cumsum(model.weights)
-    idx = np.searchsorted(cum, rng.random(n), side="right")
-    np.clip(idx, 0, len(model.components) - 1, out=idx)
+    weights = [w for w, _ in dist.parts]
+    laws = [law for _, law in dist.parts]
+    idx = np.searchsorted(np.cumsum(weights), rng.random(n), side="right")
+    np.clip(idx, 0, len(laws) - 1, out=idx)
     u = rng.random(n)
     values = np.empty(n, dtype=float)
-    for i, comp in enumerate(model.components):
+    for i, law in enumerate(laws):
         mask = idx == i
         if mask.any():
-            values[mask] = comp.quantile(u[mask])
-    labels = np.array([str(i) for i in range(len(model.components))], dtype=object)[idx]
+            values[mask] = law.quantile(u[mask])
+    labels = np.array([str(i) for i in range(len(laws))], dtype=object)[idx]
     return IncomeSample(values, group_labels=labels)
 
 
@@ -581,8 +579,7 @@ def run_replicates_loop_oracle(study, target=TARGET_TAKAYAMA,
                                compute_variance=True) -> ReplicateRecords:
     """The replicate study one replicate at a time: draw, sort, score and
     build the interval of each replicate in turn."""
-    mix = _as_mixture(study.model)
-    truth = population_truth(mix, study.config, target)
+    truth = population_truth(study.model, study.config, target)
     n = study.sample_size
     r = study.replicate_count
     config = study.config
@@ -592,7 +589,7 @@ def run_replicates_loop_oracle(study, target=TARGET_TAKAYAMA,
     ci_hits = np.zeros(r, dtype=bool)
     degenerate = np.zeros(r, dtype=bool)
     for rep in range(r):
-        sample = draw_mixture_sample_oracle(mix, n, _replicate_rng(study.seed, rep))
+        sample = draw_mixture_sample_oracle(study.model, n, _replicate_rng(study.seed, rep))
         try:
             if target == TARGET_TAKAYAMA:
                 dist = build_empirical(sample)
@@ -731,8 +728,8 @@ def nested_sigma_oracle(dist, config,
 
 
 def nested_gap_variance_oracle(part, config,
-                               settings: QuadratureSettings = QuadratureSettings(),
-                               index_functional=None) -> GapComponents:
+                               settings: QuadratureSettings = QuadratureSettings()
+                               ) -> GapComponents:
     """The seven A/B components of an analytic partition by nested
     quadrature (three levels deep for A32), the pooled kernels along the
     mixture's brentq quantile, and theta1^2 assembled from them."""
@@ -741,10 +738,6 @@ def nested_gap_variance_oracle(part, config,
     k = len(groups)
     p = np.array([g.weight for g in groups])
     kernels = [_NestedKernels(g.dist, config, settings) for g in groups]
-    if index_functional is None:
-        def index_functional(dist):
-            kernel = kernels[[g.dist for g in groups].index(dist)]
-            return 1.0 - 2.0 * kernel.p_h / kernel.mu
     quantiles = [brentq_quantile(g.dist) for g in groups]
     cdfs = [g.dist.cdf for g in groups]
     s_star = [ki.s_poor for ki in kernels]
@@ -889,7 +882,7 @@ def nested_gap_variance_oracle(part, config,
                 kinks[i])
         m_h = e_g - mixed_moment
         mean_scalars.append(m_h)
-        gap_scalars.append(m_h - index_functional(groups[h].dist))
+        gap_scalars.append(m_h - (1.0 - 2.0 * kernels[h].p_h / kernels[h].mu))
 
     theta2 = _weighted_variance(gap_scalars, p)
     theta3 = _weighted_variance(mean_scalars, p)

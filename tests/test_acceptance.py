@@ -9,12 +9,12 @@ import math
 import numpy as np
 import pytest
 
-from takayama import (ConfidenceInterval, IncomeSample, MixtureModel,
-                      PovertyConfig, QuadratureSettings, ReplicateStudy,
-                      analytic_partition, bootstrap_variance, build_empirical,
+from takayama import (ConfidenceInterval, IncomeSample, PovertyConfig,
+                      QuadratureSettings, ReplicateStudy, analytic_partition,
+                      bootstrap_variance, build_empirical,
                       decomposability_gap, draw_mixture_sample,
                       empirical_distribution_from_values, exponential,
-                      fgt_index, gap_variance, ks_normality, partition,
+                      fgt_index, gap_variance, ks_normality, mixture, partition,
                       population_truth, recompose_interval,
                       representation_residual, run_replicates,
                       sigma_plugin, takayama_empirical, takayama_population,
@@ -135,7 +135,7 @@ def test_criterion_5_variance_oracle():
 def test_criterion_6_normality_and_coverage():
     study = ReplicateStudy(uniform(0.0, 1.0), sample_size=2000,
                            replicate_count=1000, seed=66, config=CFG1)
-    records = run_replicates(study, threads=2).records
+    records = run_replicates(study, threads=2)
     deviations = records.scaled_deviations(2000)
     ks = ks_normality(deviations, alpha=0.01)
     coverage = records.coverage()
@@ -146,8 +146,9 @@ def test_criterion_6_normality_and_coverage():
 
 
 def test_criterion_7_gap_limit():
-    model = MixtureModel((exponential(1.0), exponential(0.5)), (0.5, 0.5))
-    assembled = gap_variance(model.to_partition(), CFG1).gap_centered_total
+    groups = [("0", exponential(1.0), 0.5), ("1", exponential(0.5), 0.5)]
+    model = mixture([law for _, law, _ in groups], [w for _, _, w in groups])
+    assembled = gap_variance(analytic_partition(groups), CFG1).gap_centered_total
     gd = population_truth(model, CFG1, "gap")
     n, reps = 5000, 2000
     gaps = np.empty(reps)
@@ -189,17 +190,16 @@ def test_criterion_8_reported_arithmetic_anchors():
 
 
 def test_criterion_9_determinism_across_threads():
-    model = MixtureModel((exponential(1.0), exponential(0.5)), (0.5, 0.5))
+    model = mixture((exponential(1.0), exponential(0.5)), (0.5, 0.5))
 
     def snapshot(study, target):
         runs = [run_replicates(study, target=target, threads=k) for k in (1, 4, 8)]
-        base = runs[0].records
+        base = runs[0]
         return all(
-            np.array_equal(base.values, other.records.values)
-            and np.array_equal(base.variances, other.records.variances,
-                               equal_nan=True)
-            and np.array_equal(base.ci_hits, other.records.ci_hits)
-            and np.array_equal(base.degenerate, other.records.degenerate)
+            np.array_equal(base.values, other.values)
+            and np.array_equal(base.variances, other.variances, equal_nan=True)
+            and np.array_equal(base.ci_hits, other.ci_hits)
+            and np.array_equal(base.degenerate, other.degenerate)
             for other in runs[1:])
 
     index_ok = snapshot(ReplicateStudy(model, 1000, 100, 99, CFG1), "takayama")

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from takayama import (DEFAULT_QUADRATURE, IncomeSample, NumericalError, PovertyConfig,
-                      QuadratureSettings, bootstrap_variance, build_empirical,
-                      confidence_interval, empirical_distribution_from_values,
-                      exponential, kolmogorov_critical_value, lognormal,
-                      normal_quantile, pareto, representation_residual,
-                      sigma_analytic, sigma_plugin, uniform)
+from takayama import (DEFAULT_QUADRATURE, AnalyticDistribution, IncomeSample,
+                      NumericalError, PovertyConfig, QuadratureSettings, ReplicateStudy,
+                      bootstrap_variance, build_empirical, confidence_interval,
+                      empirical_distribution_from_values, exponential,
+                      kolmogorov_critical_value, lognormal, mixture, normal_quantile,
+                      pareto, representation_residual, sigma_analytic, sigma_plugin,
+                      uniform)
 from takayama.asymptotics import influence_rows
 from takayama.population import bind
 
@@ -164,6 +165,19 @@ def test_sigma_analytic_refuses_infinite_second_moment(shape):
     assert dist.second_moment == math.inf
     with pytest.raises(ValueError, match=r"pareto\(0\.5,[0-9.]+\) has an infinite second moment"):
         sigma_analytic(dist, CFG1)
+
+
+def test_infinite_second_moment_refused_through_a_mixture():
+    # The other part does not know its E X^2, yet the mixture's is inf.
+    base = uniform(0.0, 1.0)
+    unknown = AnalyticDistribution(base.cdf, base.quantile, base.mean, "no-m2", base.support)
+    dist = mixture([unknown, pareto(1.0, 1.5)], [0.5, 0.5])
+    assert dist.second_moment == math.inf
+    refusal = r"pareto\(1,1\.5\) has an infinite second moment"
+    with pytest.raises(ValueError, match=refusal):
+        sigma_analytic(dist, CFG1)
+    with pytest.raises(ValueError, match=refusal):
+        ReplicateStudy(dist, 100, 10, 1, CFG1)
 
 
 @pytest.mark.parametrize("dist", [

@@ -12,7 +12,7 @@ from takayama import (ConfidenceInterval, GapVariance, IncomeSample,
                       decomposability_gap, decomposition, draw_mixture_sample,
                       empirical_cdf, exponential, fgt_index, gap_variance,
                       lognormal, mixture, pareto, partition, recompose_interval,
-                      uniform, MixtureModel)
+                      uniform)
 
 from _oracles import (GapComponents, brentq_quantile, brute_force_gap_thetas,
                       cell_sum_gap_variance_oracle, gap_variance_influence_oracle,
@@ -290,10 +290,8 @@ def test_mixture_quantile_matches_brentq_oracle():
 
 
 def test_mixture_quantile_is_the_left_continuous_inverse():
-    # Q(1) lies past every finite support end: F(2) = 0.93 here.  (The
-    # exponential's own Q(1) = inf divides by zero in log1p.)
-    with np.errstate(divide="ignore"):
-        assert mixture(*QUANTILE_MIXTURES[0]).quantile(1.0) == math.inf
+    # Q(1) lies past every finite support end: F(2) = 0.93 here.
+    assert mixture(*QUANTILE_MIXTURES[0]).quantile(1.0) == math.inf
     # F is flat at 0.5 over [1, 2]; inf{x : F(x) >= 0.5} is its left end.
     gapped = mixture([uniform(0.0, 1.0), uniform(2.0, 3.0)], [0.5, 0.5])
     assert gapped.quantile(0.5) == pytest.approx(1.0, abs=1e-12)
@@ -305,12 +303,23 @@ def test_mixture_quantile_is_the_left_continuous_inverse():
 
 
 def test_empirical_gap_variance_consistent_with_analytic(rng):
-    model = MixtureModel((exponential(1.0), exponential(0.5)), (0.5, 0.5))
+    groups = [("0", exponential(1.0), 0.5), ("1", exponential(0.5), 0.5)]
+    model = mixture([law for _, law, _ in groups], [w for _, _, w in groups])
     sample = draw_mixture_sample(model, 40_000, rng)
-    emp = gap_variance(partition(sample), CFG1)
-    ana = gap_variance(model.to_partition(), CFG1)
+    emp_part, ana_part = partition(sample), analytic_partition(groups)
+    emp = gap_variance(emp_part, CFG1)
+    ana = gap_variance(ana_part, CFG1)
     assert emp.gap_centered_total == pytest.approx(ana.gap_centered_total, rel=0.10)
     assert emp.theta1_sq == pytest.approx(ana.theta1_sq, rel=0.10)
+    # On both routes a gap scalar is the mean scalar less the group's own
+    # index, and theta3^2 is the weighted variance of the mean scalars.
+    for part, gv in ((emp_part, emp), (ana_part, ana)):
+        local = decomposability_gap(part, CFG1).local_indices
+        assert gv.gap_scalars == tuple(m - t for m, t in zip(gv.mean_scalars, local))
+        m = np.array(gv.mean_scalars)
+        centred = m - np.dot(part.weights, m)
+        assert gv.theta3_sq == pytest.approx(np.dot(part.weights, centred ** 2),
+                                             rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("k", [2, 3, 8])
@@ -388,27 +397,6 @@ def test_empirical_gap_variance_work_is_linear_in_k(k, monkeypatch):
     assert len(cores) == k + 1
     assert cores.count((1, part.pooled.size)) == 1
     assert len(searches) <= 10 * (k + 1)
-
-
-def test_gap_scalar_hook_empirical(rng):
-    labels = rng.choice(np.array(["a", "b", "c"], dtype=object), 300)
-    part = partition(IncomeSample(rng.lognormal(0.0, 0.8, 300), group_labels=labels))
-    default = gap_variance(part, CFG1)
-    hooked = gap_variance(part, CFG1, index_functional=lambda dist: 0.0)
-    assert hooked.mean_scalars == default.mean_scalars
-    assert hooked.gap_scalars == hooked.mean_scalars
-    assert hooked.theta2_sq == hooked.theta3_sq == default.theta3_sq
-    assert hooked.theta1_sq == default.theta1_sq
-
-
-def test_gap_scalar_hook():
-    part = analytic_partition([("0", exponential(1.0), 0.5),
-                               ("1", exponential(0.5), 0.5)])
-    default = gap_variance(part, CFG1)
-    hooked = gap_variance(part, CFG1, index_functional=lambda dist: 0.0)
-    assert hooked.mean_scalars == pytest.approx(default.mean_scalars)
-    assert hooked.gap_scalars == pytest.approx(hooked.mean_scalars)
-    assert hooked.theta3_sq == pytest.approx(default.theta3_sq)
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from takayama import (AnalyticDistribution, IncomeSample, MixtureModel, PovertyConfig,
+from takayama import (AnalyticDistribution, IncomeSample, PovertyConfig,
                       ReplicateStudy, bootstrap_variance, build_empirical,
                       draw_mixture_sample, empirical_distribution_from_values,
-                      exponential, ks_normality, lognormal, population_truth,
+                      exponential, ks_normality, lognormal, mixture, population_truth,
                       run_replicates, sigma_plugin, takayama_empirical,
                       takayama_population, uniform)
 from takayama import asymptotics, montecarlo
@@ -57,23 +57,21 @@ def _assert_close_or_both_nan(got, want, rel):
 
 
 def test_single_component_labels_identical():
-    model = MixtureModel((uniform(0.0, 1.0),), (1.0,))
-    sample = draw_mixture_sample(model, 50, seed=1)
+    sample = draw_mixture_sample(uniform(0.0, 1.0), 50, seed=1)
     assert set(sample.group_labels.tolist()) == {"0"}
 
 
 def test_component_frequency_concentrates():
-    model = MixtureModel((uniform(0.0, 1.0), exponential(1.0)), (0.5, 0.5))
+    model = mixture((uniform(0.0, 1.0), exponential(1.0)), (0.5, 0.5))
     sample = draw_mixture_sample(model, 100_000, seed=2)
     freq = float(np.mean(sample.group_labels == "0"))
     assert abs(freq - 0.5) < 0.01
 
 
 def test_pooled_empirical_cdf_close_to_mixture_cdf():
-    model = MixtureModel((uniform(0.0, 1.0), exponential(1.0)), (0.4, 0.6))
-    sample = draw_mixture_sample(model, 100_000, seed=3)
+    mix = mixture((uniform(0.0, 1.0), exponential(1.0)), (0.4, 0.6))
+    sample = draw_mixture_sample(mix, 100_000, seed=3)
     dist = build_empirical(sample)
-    mix = model.to_distribution()
     grid = np.linspace(0.01, 5.0, 400)
     ks_distance = float(np.max(np.abs(
         np.searchsorted(dist.sorted_values, grid, side="right") / dist.size
@@ -82,7 +80,7 @@ def test_pooled_empirical_cdf_close_to_mixture_cdf():
 
 
 def test_draw_is_deterministic_for_seed():
-    model = MixtureModel((uniform(0.0, 1.0), exponential(1.0)), (0.5, 0.5))
+    model = mixture((uniform(0.0, 1.0), exponential(1.0)), (0.5, 0.5))
     a = draw_mixture_sample(model, 1000, seed=7)
     b = draw_mixture_sample(model, 1000, seed=7)
     assert np.array_equal(a.values, b.values)
@@ -93,20 +91,20 @@ def test_draw_is_deterministic_for_seed():
 
 def test_mixture_model_validation():
     with pytest.raises(ValueError):
-        MixtureModel((uniform(0.0, 1.0),), (0.7,))
+        mixture((uniform(0.0, 1.0),), (0.7,))
     with pytest.raises(ValueError):
-        MixtureModel((uniform(0.0, 1.0), exponential(1.0)), (1.2, -0.2))
+        mixture((uniform(0.0, 1.0), exponential(1.0)), (1.2, -0.2))
     with pytest.raises(ValueError):
-        draw_mixture_sample(MixtureModel((uniform(0.0, 1.0),), (1.0,)), 0, seed=1)
+        draw_mixture_sample(uniform(0.0, 1.0), 0, seed=1)
 
 
 def test_run_replicates_smoke_single():
     study = ReplicateStudy(uniform(0.0, 1.0), sample_size=50, replicate_count=1,
                            seed=5, config=CFG1)
-    done = run_replicates(study)
-    assert done.records.replicate_count == 1
-    assert math.isfinite(done.records.values[0])
-    assert not done.records.degenerate[0]
+    records = run_replicates(study)
+    assert records.replicate_count == 1
+    assert math.isfinite(records.values[0])
+    assert not records.degenerate[0]
 
 
 def test_run_replicates_threads_bit_identical():
@@ -114,16 +112,15 @@ def test_run_replicates_threads_bit_identical():
                            seed=11, config=CFG1)
     serial = run_replicates(study, threads=1)
     parallel = run_replicates(study, threads=4)
-    assert np.array_equal(serial.records.values, parallel.records.values)
-    assert np.array_equal(serial.records.variances, parallel.records.variances)
-    assert np.array_equal(serial.records.ci_hits, parallel.records.ci_hits)
+    assert np.array_equal(serial.values, parallel.values)
+    assert np.array_equal(serial.variances, parallel.variances)
+    assert np.array_equal(serial.ci_hits, parallel.ci_hits)
 
 
 def test_run_replicates_moments_track_theory():
     study = ReplicateStudy(uniform(0.0, 1.0), sample_size=500, replicate_count=300,
                            seed=13, config=CFG1)
-    done = run_replicates(study)
-    records = done.records
+    records = run_replicates(study)
     assert records.truth == pytest.approx(1 / 3, abs=1e-8)
     scaled = records.scaled_deviations(500)
     assert scaled.var(ddof=1) == pytest.approx(8 / 135, rel=0.25)
@@ -133,7 +130,7 @@ def test_run_replicates_moments_track_theory():
 def test_replicate_variance_matches_analytic_total():
     study = ReplicateStudy(uniform(0.0, 1.0), sample_size=2000,
                            replicate_count=1000, seed=31, config=CFG1)
-    records = run_replicates(study, threads=2, compute_variance=False).records
+    records = run_replicates(study, threads=2, compute_variance=False)
     scaled = records.scaled_deviations(2000)
     from takayama import sigma_analytic
     analytic_total = sigma_analytic(uniform(0.0, 1.0), CFG1).total
@@ -141,14 +138,14 @@ def test_replicate_variance_matches_analytic_total():
 
 
 def test_gap_mean_converges_to_population_gap():
-    model = MixtureModel((exponential(1.0), exponential(0.5)), (0.5, 0.5))
+    model = mixture((exponential(1.0), exponential(0.5)), (0.5, 0.5))
     truth = population_truth(model, CFG1, "gap")
     errors = {}
     for n in (500, 5000):
         study = ReplicateStudy(model, sample_size=n, replicate_count=200,
                                seed=37, config=CFG1)
         records = run_replicates(study, target="gap", threads=2,
-                                 compute_variance=False).records
+                                 compute_variance=False)
         errors[n] = abs(float(np.nanmean(records.values)) - truth)
     assert errors[5000] < errors[500]
 
@@ -163,11 +160,10 @@ def test_gap_study_needs_mixture():
 
 
 def test_gap_study_records_gap_statistics():
-    model = MixtureModel((exponential(1.0), exponential(0.5)), (0.5, 0.5))
+    model = mixture((exponential(1.0), exponential(0.5)), (0.5, 0.5))
     study = ReplicateStudy(model, sample_size=400, replicate_count=20,
                            seed=21, config=CFG1)
-    done = run_replicates(study, target="gap", compute_variance=False)
-    records = done.records
+    records = run_replicates(study, target="gap", compute_variance=False)
     truth = population_truth(model, CFG1, "gap")
     assert records.truth == pytest.approx(truth)
     assert np.all(np.isnan(records.variances))
@@ -233,7 +229,7 @@ def test_ks_normality_needs_enough_values():
      (0.1, 0.2, 0.3, 0.4), 777),
 ], ids=["K1", "K2", "K4"])
 def test_chunk_draw_rows_equal_one_row_draws(components, weights, n):
-    model = MixtureModel(components, weights)
+    model = mixture(components, weights)
     values, picks = _draw_rows(model, n, [_replicate_rng(17, rep) for rep in range(6)])
     for rep in range(6):
         one = draw_mixture_sample(model, n, _replicate_rng(17, rep))
@@ -327,7 +323,7 @@ def test_plugin_rows_reads_the_influence_core(monkeypatch):
 
 
 STUDIES = {
-    "benchmark-mixture": (MixtureModel((exponential(1.0), lognormal(0.0, 0.8)), (0.5, 0.5)),
+    "benchmark-mixture": (mixture((exponential(1.0), lognormal(0.0, 0.8)), (0.5, 0.5)),
                           PovertyConfig(1.0), 2000, 40),
     "heaped": (_heaped_uniform(), PovertyConfig(1.0), 501, 60),
     "zero-mean-replicates": (_zero_inflated(), PovertyConfig(1.5), 4, 200),
@@ -339,7 +335,7 @@ STUDIES = {
 def test_run_replicates_matches_loop_oracle(name, compute_variance):
     model, config, n, reps = STUDIES[name]
     study = ReplicateStudy(model, n, reps, 23, config)
-    got = run_replicates(study, compute_variance=compute_variance).records
+    got = run_replicates(study, compute_variance=compute_variance)
     want = run_replicates_loop_oracle(study, compute_variance=compute_variance)
     assert got.truth == want.truth
     _assert_close_or_both_nan(got.values, want.values, 1e-12)
@@ -354,9 +350,9 @@ def test_run_replicates_matches_loop_oracle(name, compute_variance):
 
 @pytest.mark.parametrize("compute_variance", [True, False])
 def test_gap_study_bit_identical_to_loop_oracle(compute_variance):
-    model = MixtureModel((exponential(1.0), exponential(0.5)), (0.5, 0.5))
+    model = mixture((exponential(1.0), exponential(0.5)), (0.5, 0.5))
     study = ReplicateStudy(model, 600, 20, 5, CFG1)
-    got = run_replicates(study, target="gap", compute_variance=compute_variance).records
+    got = run_replicates(study, target="gap", compute_variance=compute_variance)
     want = run_replicates_loop_oracle(study, target="gap",
                                       compute_variance=compute_variance)
     assert np.array_equal(got.values, want.values, equal_nan=True)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -130,6 +131,30 @@ def test_mixture_cdf_quantile_identity():
     back = np.asarray(mix.cdf(x), dtype=float)
     assert np.max(np.abs(back - s)) < 1e-10
     assert mix.mean == pytest.approx(0.3 * 1.0 + 0.7 * 2.0)
+
+
+@pytest.mark.parametrize("dist", [
+    uniform(0.0, 1.0), exponential(1.0), lognormal(0.0, 1.0), pareto(1.0, 3.0),
+    mixture([uniform(0.0, 2.0), exponential(1.0), pareto(1.0, 3.0)], [0.3, 0.3, 0.4]),
+], ids=lambda dist: dist.identifier)
+def test_quantile_endpoints_emit_no_warning(dist):
+    # Q(0) is the lower support end and Q(1) the upper one, inf included.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lo, hi = float(dist.quantile(0.0)), float(dist.quantile(1.0))
+        both = np.asarray(dist.quantile(np.array([0.0, 1.0])), dtype=float)
+    assert (lo, hi) == dist.support
+    assert both.tolist() == [lo, hi]
+
+
+def test_mixture_parts():
+    law = exponential(1.0)
+    assert law.parts == ((1.0, law),)
+    assert mixture([law], [1.0]) is law
+    inner = mixture([law, uniform(0.0, 1.0)], [0.5, 0.5])
+    outer = mixture([inner, pareto(1.0, 3.0)], [0.4, 0.6])
+    assert [(w, part.identifier) for w, part in outer.parts] == [
+        (0.2, "exponential(1)"), (0.2, "uniform(0,1)"), (0.6, "pareto(1,3)")]
 
 
 def test_poor_count_strictness():
