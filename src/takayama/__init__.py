@@ -10,8 +10,7 @@ from .decomposition import (GapEstimate, GapVariance, Subgroup, SubgroupPartitio
 from .distributions import (AnalyticDistribution, exponential, lognormal,
                             mixture, pareto, parse_distribution, uniform)
 from .errors import DataFormatError, NumericalError, QuadratureError
-from .indices import (FGT, TAKAYAMA_EMPIRICAL, TAKAYAMA_POPULATION, IndexValue,
-                      fgt_index, takayama_empirical, takayama_population,
+from .indices import (IndexValue, fgt_index, takayama_empirical, takayama_population,
                       takayama_rows)
 from .montecarlo import (KsNormalityResult, ReplicateRecords, ReplicateStudy,
                          bootstrap_variance, draw_mixture_sample, ks_normality,
@@ -19,25 +18,22 @@ from .montecarlo import (KsNormalityResult, ReplicateRecords, ReplicateStudy,
 from .normal import kolmogorov_critical_value, normal_cdf, normal_quantile
 from .quadrature import DEFAULT_QUADRATURE, QuadratureSettings, integrate
 from .samples import (EmpiricalDistribution, IncomeSample, PovertyConfig,
-                      build_empirical, empirical_cdf,
-                      empirical_distribution_from_values, empirical_quantile,
-                      poor_count, standardize)
+                      build_empirical, poor_count, standardize)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AnalyticDistribution", "ConfidenceInterval", "DataFormatError",
-    "DEFAULT_QUADRATURE", "EmpiricalDistribution", "FGT", "GapEstimate",
+    "DEFAULT_QUADRATURE", "EmpiricalDistribution", "GapEstimate",
     "GapVariance", "IncomeSample", "IndexValue",
     "KsNormalityResult", "NumericalError", "PluginRows",
     "PovertyConfig",
     "QuadratureError", "QuadratureSettings", "ReplicateRecords",
-    "ReplicateStudy", "Subgroup", "SubgroupPartition", "TAKAYAMA_EMPIRICAL",
-    "TAKAYAMA_POPULATION", "VarianceDecomposition", "analytic_partition",
+    "ReplicateStudy", "Subgroup", "SubgroupPartition",
+    "VarianceDecomposition", "analytic_partition",
     "bootstrap_variance",
     "build_empirical", "confidence_interval", "decomposability_gap",
-    "draw_mixture_sample", "empirical_cdf", "empirical_distribution_from_values",
-    "empirical_quantile", "exponential", "fgt_index", "gap_variance",
+    "draw_mixture_sample", "exponential", "fgt_index", "gap_variance",
     "integrate", "kolmogorov_critical_value", "ks_normality",
     "lognormal", "mixture", "normal_cdf", "normal_quantile", "pareto",
     "parse_distribution", "partition", "plugin_rows", "poor_count",

@@ -158,17 +158,17 @@ def influence_rows(sorted_rows: np.ndarray, means: np.ndarray,
 
 @dataclass(frozen=True)
 class PluginRows:
-    """Per-row output of plugin_rows: T_n, and the variance components and
-    their total when they were asked for (None otherwise)."""
+    """Per-row output of plugin_rows: T_n, the variance components and
+    their total."""
     index: np.ndarray
-    sigma1_sq: Optional[np.ndarray] = None
-    sigma2_sq: Optional[np.ndarray] = None
-    sigma12: Optional[np.ndarray] = None
-    total: Optional[np.ndarray] = None
+    sigma1_sq: np.ndarray
+    sigma2_sq: np.ndarray
+    sigma12: np.ndarray
+    total: np.ndarray
 
 
-def plugin_rows(sorted_rows: np.ndarray, means: np.ndarray, config: PovertyConfig,
-                variance: bool = True) -> PluginRows:
+def plugin_rows(sorted_rows: np.ndarray, means: np.ndarray,
+                config: PovertyConfig) -> PluginRows:
     """The plug-in estimates of every row of an (m, n) array of ascending
     samples, with means the row means: T_n and, over the n influence values
     of influence_rows, sigma1^2 = Var g, sigma2^2 = Var B, sigma12 =
@@ -176,8 +176,6 @@ def plugin_rows(sorted_rows: np.ndarray, means: np.ndarray, config: PovertyConfi
     is the mean square of the centred phi, so it is never negative.
     """
     index = takayama_rows(sorted_rows, means, config)
-    if not variance:
-        return PluginRows(index)
     g, b = influence_rows(sorted_rows, means, config)
     g -= g.mean(axis=1, keepdims=True)
     b -= b.mean(axis=1, keepdims=True)

@@ -143,8 +143,7 @@ def _decompose_report(args: argparse.Namespace, run: RunConfig) -> dict:
     part = partition(sample)
     estimate = decomposability_gap(part, config)
     variance = gap_variance(part, config)
-    total = max(variance.gap_centered_total, 0.0)
-    gap_ci = confidence_interval(estimate.gap, total, part.pooled.size,
+    gap_ci = confidence_interval(estimate.gap, variance.gap_centered_total, part.pooled.size,
                                  config.confidence_level)
     recomposed = recompose_interval(estimate.weighted_local_sum, gap_ci)
     return {
@@ -241,3 +240,7 @@ def cli_dispatch(argv: Optional[Sequence[str]] = None) -> int:
 
 def main() -> None:
     sys.exit(cli_dispatch())
+
+
+if __name__ == "__main__":
+    main()

@@ -6,7 +6,9 @@ With K subgroups of weights p_i (empirically n_i / n) the gap is
     gd_n = T_n - sum_i (n_i / n) T_{n_i}(i),
 
 the difference between the pooled index and the size-weighted subgroup
-indices; a decomposable index (e.g. FGT) makes it vanish identically.
+indices.  decomposability_gap forms it with the Takayama index; formed
+with a decomposable index such as fgt_index over partition's groups, the
+same difference vanishes identically.
 Centered at the population gap, sqrt(n) gd_n is asymptotically normal with
 variance theta1^2 + theta2^2, where theta1^2 aggregates within- and
 cross-group covariances of the index kernels (the paper's seven components
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -49,16 +51,17 @@ class Subgroup:
     label: str
     dist: GroupDistribution
     weight: float
-    size: Optional[int] = None
 
     def __post_init__(self):
         if not 0.0 < self.weight <= 1.0:
             raise ValueError(f"group weight must lie in (0, 1], got {self.weight}")
-        if isinstance(self.dist, EmpiricalDistribution):
-            if self.size is None:
-                object.__setattr__(self, "size", self.dist.size)
-            if self.size != self.dist.size or self.size < 1:
-                raise ValueError(f"empty or inconsistent group {self.label!r}")
+        if self.size is not None and self.size < 1:
+            raise ValueError(f"empty group {self.label!r}")
+
+    @property
+    def size(self) -> Optional[int]:
+        """Observations in an empirical group; None for an analytic one."""
+        return self.dist.size if isinstance(self.dist, EmpiricalDistribution) else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,77 +122,49 @@ def partition(sample: IncomeSample) -> SubgroupPartition:
     groups = []
     for lab, size, member_values in zip(codes, sizes.tolist(), members):
         dist = build_empirical(IncomeSample(member_values))
-        groups.append(Subgroup(str(lab), dist, size / n, size))
+        groups.append(Subgroup(str(lab), dist, size / n))
     pooled = build_empirical(IncomeSample(values))
     return SubgroupPartition(tuple(groups), pooled)
 
 
-def analytic_partition(components: Sequence[Tuple[str, AnalyticDistribution, float]],
-                       sizes: Optional[Sequence[int]] = None) -> SubgroupPartition:
-    """Build a population partition; the pooled law is the weighted mixture.
-
-    Optional sizes attach empirical group counts to an analytic partition so
-    the mixed gap (population indices, empirical weights) can be formed.
-    """
-    if sizes is not None and len(sizes) != len(components):
-        raise ValueError("sizes must match the number of components")
-    groups = tuple(
-        Subgroup(label, dist, weight, None if sizes is None else int(sizes[k]))
-        for k, (label, dist, weight) in enumerate(components))
+def analytic_partition(components: Sequence[Tuple[str, AnalyticDistribution, float]]
+                       ) -> SubgroupPartition:
+    """Build a population partition; the pooled law is the weighted mixture."""
+    groups = tuple(Subgroup(label, dist, weight) for label, dist, weight in components)
     pooled = mixture([g.dist for g in groups], [g.weight for g in groups])
     return SubgroupPartition(groups, pooled)
 
 
 @dataclass(frozen=True)
 class GapEstimate:
-    """Global index, per-group indices, and the decomposability gap(s)."""
+    """Global index, per-group indices, and the decomposability gap."""
     global_index: float
     local_indices: Tuple[float, ...]
     weights: Tuple[float, ...]
     gap: float
-    population_gap: Optional[float] = None
-    mixed_gap: Optional[float] = None
 
     @property
     def weighted_local_sum(self) -> float:
         return float(np.dot(self.weights, self.local_indices))
 
 
-def _default_index(dist: GroupDistribution, config: PovertyConfig,
-                   quad: QuadratureSettings) -> float:
+def _index(dist: GroupDistribution, config: PovertyConfig,
+           quad: QuadratureSettings) -> float:
     if isinstance(dist, EmpiricalDistribution):
         return takayama_empirical(dist, config).value
     return takayama_population(dist, config, quad).value
 
 
 def decomposability_gap(part: SubgroupPartition, config: PovertyConfig,
-                        quad: QuadratureSettings = DEFAULT_QUADRATURE,
-                        index_fn: Optional[Callable[[GroupDistribution, PovertyConfig], float]] = None
-                        ) -> GapEstimate:
-    """Gap between the pooled index and the weighted subgroup indices.
-
-    index_fn swaps in another index (same signature on a distribution and
-    config); the default is the Takayama index.  For analytic partitions the
-    gap is the population gap, and the mixed gap is added when the partition
-    carries group sizes.
-    """
-    def evaluate(dist: GroupDistribution) -> float:
-        if index_fn is not None:
-            return index_fn(dist, config)
-        return _default_index(dist, config, quad)
-
-    global_index = evaluate(part.pooled)
-    locals_ = tuple(evaluate(g.dist) for g in part.groups)
+                        quad: QuadratureSettings = DEFAULT_QUADRATURE) -> GapEstimate:
+    """Gap between the pooled Takayama index and the weighted subgroup
+    indices: empirical indices on an empirical partition, population
+    indices (the population gap) on an analytic one."""
+    global_index = _index(part.pooled, config, quad)
+    locals_ = tuple(_index(g.dist, config, quad) for g in part.groups)
     weights = tuple(g.weight for g in part.groups)
-    gap = global_index - float(np.dot(weights, locals_))
-
-    population_gap = mixed_gap = None
-    if not part.is_empirical:
-        population_gap = gap
-        if all(g.size is not None for g in part.groups):
-            sizes = np.array([g.size for g in part.groups], dtype=float)
-            mixed_gap = global_index - float(np.dot(sizes / sizes.sum(), locals_))
-    return GapEstimate(global_index, locals_, weights, gap, population_gap, mixed_gap)
+    return GapEstimate(global_index, locals_, weights,
+                       global_index - float(np.dot(weights, locals_)))
 
 
 @dataclass(frozen=True)
@@ -269,7 +244,7 @@ def gap_variance(part: SubgroupPartition, config: PovertyConfig,
     else:
         theta1, mean_scalars = gap_influence([g.dist for g in part.groups], part.weights,
                                              part.pooled.mean, config, quad)
-    gap_scalars = [m_h - _default_index(g.dist, config, quad)
+    gap_scalars = [m_h - _index(g.dist, config, quad)
                    for m_h, g in zip(mean_scalars, part.groups)]
     p = part.weights
     return GapVariance(theta1, _weighted_variance(gap_scalars, p),

@@ -16,7 +16,6 @@ decomposable benchmark.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -25,22 +24,16 @@ from .population import bind
 from .quadrature import DEFAULT_QUADRATURE, QuadratureSettings
 from .samples import EmpiricalDistribution, PovertyConfig, poor_count
 
-TAKAYAMA_EMPIRICAL = "takayama-empirical"
-TAKAYAMA_POPULATION = "takayama-population"
-FGT = "fgt"
-
 
 @dataclass(frozen=True)
 class IndexValue:
     value: float
-    index_kind: str
-    sample_size: Optional[int] = None
 
 
 def takayama_empirical(dist: EmpiricalDistribution, config: PovertyConfig) -> IndexValue:
     """Evaluate T_n exactly.  With no poor the sum is empty and T_n = 1 + 1/n."""
     value = takayama_rows(dist.sorted_values[np.newaxis, :], np.array([dist.mean]), config)
-    return IndexValue(float(value[0]), TAKAYAMA_EMPIRICAL, dist.size)
+    return IndexValue(float(value[0]))
 
 
 def takayama_rows(sorted_rows: np.ndarray, means: np.ndarray,
@@ -65,7 +58,7 @@ def takayama_population(dist: AnalyticDistribution, config: PovertyConfig,
     """Evaluate T = 1 - 2 P(h) / mu, with P(h) the integral of
     x (1 - F(x)) over each component's quantile below the line."""
     law = bind(dist, config, quad)
-    return IndexValue(1.0 - 2.0 * law.p_h / law.mu, TAKAYAMA_POPULATION)
+    return IndexValue(1.0 - 2.0 * law.p_h / law.mu)
 
 
 def fgt_index(dist: EmpiricalDistribution, config: PovertyConfig,
@@ -81,10 +74,10 @@ def fgt_index(dist: EmpiricalDistribution, config: PovertyConfig,
     z = config.poverty_line
     q = poor_count(dist, config)
     if q == 0:
-        return IndexValue(0.0, FGT, dist.size)
+        return IndexValue(0.0)
     gaps = (z - dist.sorted_values[:q]) / z
     if alpha == 0:
         total = float(q)
     else:
         total = float(np.sum(gaps ** alpha))
-    return IndexValue(total / dist.size, FGT, dist.size)
+    return IndexValue(total / dist.size)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
+import math
 import warnings
 from dataclasses import dataclass, fields
 from typing import Mapping, Optional, Sequence
@@ -51,8 +52,9 @@ class RunConfig:
         if not 0.0 < self.confidence_level < 1.0:
             raise DataFormatError(
                 f"confidence level must lie in (0, 1), got {self.confidence_level}")
-        if self.quad_tol <= 0:
-            raise DataFormatError(f"quadrature tolerance must be positive, got {self.quad_tol}")
+        if not 0 < self.quad_tol < math.inf:
+            raise DataFormatError(
+                f"quadrature tolerance must be positive and finite, got {self.quad_tol}")
         if self.threads < 1 or self.sample_size < 1 or self.replicates < 1:
             raise DataFormatError("threads, sample size, and replicates must be >= 1")
 

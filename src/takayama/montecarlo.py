@@ -190,9 +190,11 @@ def run_replicates(study: ReplicateStudy, target: str = TARGET_TAKAYAMA,
     ci_hits = np.zeros(r, dtype=bool)
     if compute_variance:
         # The interval of confidence_interval, for every replicate at once;
-        # NaN (degenerate) rows compare False.
+        # NaN (degenerate) rows compare False.  No variance is negative: the
+        # plug-in total is a mean square, and theta1^2 and theta2^2 are
+        # weighted variances.
         z = normal_quantile(0.5 * (1.0 + config.confidence_level))
-        half = z * np.sqrt(np.maximum(variances, 0.0) / n)
+        half = z * np.sqrt(variances / n)
         ci_hits = (values - half <= truth) & (truth <= values + half) & ~degenerate
     return ReplicateRecords(target, truth, values, variances, ci_hits, degenerate)
 
@@ -200,7 +202,7 @@ def run_replicates(study: ReplicateStudy, target: str = TARGET_TAKAYAMA,
 def _score_index_rows(drawn: np.ndarray, config: PovertyConfig, compute_variance: bool):
     """Index and plug-in variance of each drawn row, as (values, variances,
     degenerate): every row is sorted on its own, then all go through one
-    plugin_rows call."""
+    plugin_rows call, or one takayama_rows call without the variance."""
     values = np.full(len(drawn), np.nan)
     variances = np.full(len(drawn), np.nan)
     degenerate = np.zeros(len(drawn), dtype=bool)
@@ -215,10 +217,12 @@ def _score_index_rows(drawn: np.ndarray, config: PovertyConfig, compute_variance
         sorted_rows.append(dist.sorted_values)
         means.append(dist.mean)
     if kept:
-        scored = plugin_rows(np.stack(sorted_rows), np.array(means), config, compute_variance)
-        values[kept] = scored.index
+        sorted_rows, means = np.stack(sorted_rows), np.array(means)
         if compute_variance:
-            variances[kept] = scored.total
+            scored = plugin_rows(sorted_rows, means, config)
+            values[kept], variances[kept] = scored.index, scored.total
+        else:
+            values[kept] = takayama_rows(sorted_rows, means, config)
     return values, variances, degenerate
 
 

@@ -110,12 +110,13 @@ def normal_quantile(p: float) -> float:
     return float(ndtri(p))
 
 
-def kolmogorov_cdf(x: float, terms: int = 100) -> float:
-    """Asymptotic CDF of the scaled Kolmogorov-Smirnov statistic."""
+def kolmogorov_cdf(x: float) -> float:
+    """Asymptotic CDF of the scaled Kolmogorov-Smirnov statistic, from at
+    most 100 terms of its alternating series."""
     if x <= 0.0:
         return 0.0
     total = 0.0
-    for k in range(1, terms + 1):
+    for k in range(1, 101):
         term = math.exp(-2.0 * k * k * x * x)
         total += -term if k % 2 == 0 else term
         if term < 1e-18:

@@ -7,13 +7,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 
 from .errors import NumericalError
-
-ArrayLike = Union[Sequence[float], np.ndarray]
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -100,12 +98,6 @@ class EmpiricalDistribution:
     mean: float
     size: int
 
-    def cdf(self, x) -> float | np.ndarray:
-        return empirical_cdf(self, x)
-
-    def quantile(self, s) -> float | np.ndarray:
-        return empirical_quantile(self, s)
-
 
 def build_empirical(sample: IncomeSample) -> EmpiricalDistribution:
     """Sort the (equivalence-scaled) incomes and record mean and size.
@@ -124,32 +116,6 @@ def build_empirical(sample: IncomeSample) -> EmpiricalDistribution:
     if mean == 0.0:
         raise NumericalError("degenerate sample mean")
     return EmpiricalDistribution(_readonly(ordered), mean, int(values.size))
-
-
-def empirical_distribution_from_values(values: ArrayLike) -> EmpiricalDistribution:
-    """Convenience wrapper: build directly from a plain value sequence."""
-    return build_empirical(IncomeSample(np.asarray(values, dtype=float)))
-
-
-def empirical_cdf(dist: EmpiricalDistribution, x) -> float | np.ndarray:
-    """Right-continuous step CDF: (number of values <= x) / n."""
-    counts = np.searchsorted(dist.sorted_values, x, side="right")
-    out = counts / dist.size
-    return float(out) if np.isscalar(x) else out
-
-
-def empirical_quantile(dist: EmpiricalDistribution, s) -> float | np.ndarray:
-    """Left-limit step quantile: the j-th order statistic on ((j-1)/n, j/n],
-    so boundaries s = j/n map to the j-th order statistic."""
-    arr = np.asarray(s, dtype=float)
-    if arr.size and (arr.min() <= 0.0 or arr.max() > 1.0):
-        raise ValueError("quantile argument must lie in (0, 1]")
-    # s = j/n can round to a hair above j after the product (14/25 * 25);
-    # shave a few ulps so the boundary stays in cell j.
-    scaled = arr * dist.size * (1.0 - 4.0 * np.finfo(float).eps)
-    idx = np.clip(np.ceil(scaled).astype(int), 1, dist.size)
-    out = dist.sorted_values[idx - 1]
-    return float(out) if np.isscalar(s) else out
 
 
 def poor_count(dist: EmpiricalDistribution, config: PovertyConfig) -> int:

@@ -38,7 +38,7 @@ from takayama.io import RunConfig
 from takayama.montecarlo import (TARGET_TAKAYAMA, ReplicateRecords, _replicate_rng,
                                  population_truth)
 from takayama.quadrature import QuadratureSettings
-from takayama.samples import IncomeSample, build_empirical, empirical_cdf, poor_count
+from takayama.samples import IncomeSample, build_empirical, poor_count
 
 
 def bisection_normal_quantile(p: float, tol: float = 1e-12) -> float:
@@ -249,7 +249,8 @@ def _empirical_kernels(dist, config):
 
     def g(v):
         v = np.asarray(v, dtype=float)
-        h = v * (1.0 - np.asarray(empirical_cdf(dist, v), dtype=float)) * config.poor_mask(v)
+        f_v = np.searchsorted(x, v, side="right") / dist.size
+        h = v * (1.0 - f_v) * config.poor_mask(v)
         return 2.0 * (p_h * v / mu ** 2 - h / mu)
 
     def q(v):
@@ -523,7 +524,7 @@ def takayama_empirical_oracle(dist, config) -> IndexValue:
     ranks = np.arange(1, q + 1, dtype=float)
     weighted = float(np.dot(n - ranks + 1.0, dist.sorted_values[:q]))
     value = 1.0 + 1.0 / n - 2.0 * weighted / (dist.mean * n * n)
-    return IndexValue(value, "takayama-empirical", n)
+    return IndexValue(value)
 
 
 def cell_sum_sigma_oracle(dist, config) -> VarianceDecomposition:
@@ -636,12 +637,11 @@ def _quad(fn, lo: float, hi: float, settings: QuadratureSettings, breakpoints=()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
         value, abserr = quad(fn, lo, hi, epsabs=max(settings.abs_tol, 1e-14),
-                             epsrel=settings.rel_tol, limit=settings.max_subdivisions,
+                             epsrel=0, limit=settings.max_subdivisions,
                              points=pts if pts else None)
-    tol = max(settings.abs_tol, settings.rel_tol * abs(value))
-    if abserr > tol:
+    if abserr > settings.abs_tol:
         raise QuadratureError(f"quadrature did not converge: achieved {abserr:.3e}, "
-                              f"requested {tol:.3e}")
+                              f"requested {settings.abs_tol:.3e}")
     return value
 
 

@@ -4,16 +4,12 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they
 complete.  The stochastic criteria use fixed seeds; their tolerances were
 chosen with margin (observed agreement is several times tighter).
 """
-import math
-
 import numpy as np
-import pytest
 
 from takayama import (ConfidenceInterval, IncomeSample, PovertyConfig,
                       QuadratureSettings, ReplicateStudy, analytic_partition,
                       bootstrap_variance, build_empirical,
-                      decomposability_gap, draw_mixture_sample,
-                      empirical_distribution_from_values, exponential,
+                      decomposability_gap, draw_mixture_sample, exponential,
                       fgt_index, gap_variance, ks_normality, mixture, partition,
                       population_truth, recompose_interval,
                       representation_residual, run_replicates,
@@ -42,12 +38,12 @@ def _substream(entropy, *key) -> np.random.Generator:
 def test_criterion_1_exact_values():
     checks = []
     checks.append(abs(takayama_empirical(
-        empirical_distribution_from_values([5.0]), PovertyConfig(10.0)).value) <= 1e-12)
+        build_empirical(IncomeSample([5.0])), PovertyConfig(10.0)).value) <= 1e-12)
     for n in (1, 3, 9, 50):
-        dist = empirical_distribution_from_values(np.linspace(2.0, 3.0, n))
+        dist = build_empirical(IncomeSample(np.linspace(2.0, 3.0, n)))
         checks.append(abs(takayama_empirical(dist, CFG1).value - (1 + 1 / n)) <= 1e-12)
     checks.append(abs(takayama_empirical(
-        empirical_distribution_from_values([1.0, 3.0]), PovertyConfig(2.0)).value - 1.0)
+        build_empirical(IncomeSample([1.0, 3.0])), PovertyConfig(2.0)).value - 1.0)
         <= 1e-12)
 
     rng = _substream(1001)
@@ -60,9 +56,9 @@ def test_criterion_1_exact_values():
         part = partition(IncomeSample(values, group_labels=labels))
         z = float(rng.uniform(0.2, 4.0))
         alpha = float(rng.choice([0.0, 1.0, 2.0]))
-        fgt_gap = decomposability_gap(
-            part, PovertyConfig(z),
-            index_fn=lambda dist, cfg: fgt_index(dist, cfg, alpha).value).gap
+        cfg = PovertyConfig(z)
+        fgt_gap = fgt_index(part.pooled, cfg, alpha).value - sum(
+            g.weight * fgt_index(g.dist, cfg, alpha).value for g in part.groups)
         checks.append(abs(fgt_gap) <= 1e-12)
 
         single = partition(IncomeSample(values,
@@ -110,18 +106,18 @@ def test_criterion_5_variance_oracle():
     for rep in range(reps):
         draw = _substream(52, rep).random(n)
         values[rep] = takayama_empirical(
-            empirical_distribution_from_values(draw), CFG1).value
+            build_empirical(IncomeSample(draw)), CFG1).value
     mc_variance = n * values.var(ddof=1)
 
     sample = _substream(53).random(n)
-    plug = sigma_plugin(empirical_distribution_from_values(sample), CFG1)
+    plug = sigma_plugin(build_empirical(IncomeSample(sample)), CFG1)
     boot = bootstrap_variance(sample, CFG1, 500, seed=54)
 
     rel_mc = abs(plug.total / mc_variance - 1.0)
     rel_boot = abs(plug.total / boot - 1.0)
 
     small = _substream(55).random(64)
-    emp = empirical_distribution_from_values(small)
+    emp = build_empirical(IncomeSample(small))
     nu = np.where(emp.sorted_values <= 1.0, -2.0 * emp.sorted_values / emp.mean, 0.0)
     quad_gap = abs(bridge_quadratic_step(nu)
                    - sigma2_step_quadrature(nu, QuadratureSettings(abs_tol=1e-9)))

@@ -6,9 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from takayama import (DEFAULT_QUADRATURE, AnalyticDistribution, IncomeSample,
-                      NumericalError, PovertyConfig, QuadratureSettings, ReplicateStudy,
-                      bootstrap_variance, build_empirical, confidence_interval,
-                      empirical_distribution_from_values, exponential,
+                      PovertyConfig, QuadratureSettings, ReplicateStudy,
+                      bootstrap_variance, build_empirical, confidence_interval, exponential,
                       kolmogorov_critical_value, lognormal, mixture, normal_quantile,
                       pareto, representation_residual, sigma_analytic, sigma_plugin,
                       uniform)
@@ -128,7 +127,7 @@ def test_sigma_plugin_no_poor_is_zero(rng):
 def test_sigma_plugin_constant_poor_sample():
     # Every observation has the same influence value, so Var phi = 0, and
     # so is the bootstrap variance: every resample is the sample itself.
-    emp = empirical_distribution_from_values([0.5] * 20)
+    emp = build_empirical(IncomeSample([0.5] * 20))
     decomp = sigma_plugin(emp, CFG1)
     assert decomp.sigma1_sq == pytest.approx(0.0, abs=1e-15)
     assert decomp.sigma2_sq == pytest.approx(0.0, abs=1e-15)

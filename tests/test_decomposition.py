@@ -3,16 +3,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from takayama import (ConfidenceInterval, GapVariance, IncomeSample,
-                      NumericalError, PovertyConfig, QuadratureSettings,
+from takayama import (ConfidenceInterval, EmpiricalDistribution, GapVariance,
+                      IncomeSample, NumericalError, PovertyConfig, QuadratureSettings,
                       Subgroup, analytic_partition, build_empirical,
                       decomposability_gap, decomposition, draw_mixture_sample,
-                      empirical_cdf, exponential, fgt_index, gap_variance,
-                      lognormal, mixture, pareto, partition, recompose_interval,
-                      uniform)
+                      exponential, fgt_index, gap_variance, lognormal, mixture,
+                      pareto, partition, recompose_interval, uniform)
 
 from _oracles import (GapComponents, brentq_quantile, brute_force_gap_thetas,
                       cell_sum_gap_variance_oracle, gap_variance_influence_oracle,
@@ -88,15 +87,27 @@ def test_partition_rejects_nan_label_as_empty_group():
 def test_empty_group_rejected():
     with pytest.raises(ValueError):
         Subgroup("empty", build_empirical(IncomeSample([1.0])), weight=0.0)
+    with pytest.raises(ValueError, match="empty"):
+        Subgroup("empty", EmpiricalDistribution(np.array([]), 1.0, 0), weight=1.0)
+
+
+def test_subgroup_size_reads_the_distribution():
+    empirical = Subgroup("a", build_empirical(IncomeSample([1.0, 2.0])), weight=1.0)
+    assert empirical.size == 2
+    assert Subgroup("b", uniform(0.0, 1.0), weight=1.0).size is None
 
 
 def test_pooled_cdf_is_weighted_mixture_of_group_cdfs(rng):
     values = rng.uniform(0.1, 3.0, 60)
     labels = rng.choice(np.array(["a", "b", "c"], dtype=object), 60)
     part = partition(IncomeSample(values, group_labels=labels))
+
+    def step_cdf(dist, x):
+        return np.searchsorted(dist.sorted_values, x, side="right") / dist.size
+
     for x in values:
-        mix = sum(g.weight * empirical_cdf(g.dist, x) for g in part.groups)
-        assert empirical_cdf(part.pooled, x) == pytest.approx(mix, abs=1e-15)
+        mix = sum(g.weight * step_cdf(g.dist, x) for g in part.groups)
+        assert step_cdf(part.pooled, x) == pytest.approx(mix, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +123,7 @@ def test_gap_identical_analytic_components():
     part = analytic_partition([("a", uniform(0.0, 1.0), 0.5),
                                ("b", uniform(0.0, 1.0), 0.5)])
     estimate = decomposability_gap(part, CFG1)
-    assert estimate.population_gap == pytest.approx(0.0, abs=1e-8)
+    assert estimate.gap == pytest.approx(0.0, abs=1e-8)
 
 
 def test_gap_hand_worked_two_groups():
@@ -140,19 +151,10 @@ def test_gap_identity_is_bit_exact(pairs, z):
 @given(labelled_samples, st.floats(0.1, 50.0), st.sampled_from([0.0, 1.0, 2.0]))
 def test_fgt_gap_vanishes_through_partition_machinery(pairs, z, alpha):
     part = partition(_sample(pairs))
-    estimate = decomposability_gap(
-        part, PovertyConfig(z),
-        index_fn=lambda dist, cfg: fgt_index(dist, cfg, alpha).value)
-    assert abs(estimate.gap) < 1e-12
-
-
-def test_mixed_gap_with_sizes():
-    part = analytic_partition([("a", exponential(1.0), 0.5),
-                               ("b", exponential(0.5), 0.5)], sizes=[300, 100])
-    estimate = decomposability_gap(part, CFG1)
-    assert estimate.population_gap is not None
-    assert estimate.mixed_gap is not None
-    assert estimate.mixed_gap != pytest.approx(estimate.population_gap, abs=1e-6)
+    config = PovertyConfig(z)
+    gap = fgt_index(part.pooled, config, alpha).value - sum(
+        g.weight * fgt_index(g.dist, config, alpha).value for g in part.groups)
+    assert abs(gap) < 1e-12
 
 
 # ---------------------------------------------------------------------------

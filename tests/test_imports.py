@@ -1,4 +1,4 @@
-"""Every name a library module or script imports is used in it."""
+"""Every name a library module, script or test module imports is used in it."""
 import ast
 from pathlib import Path
 
@@ -6,7 +6,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(p for p in [*(ROOT / "src" / "takayama").glob("*.py"),
-                             *(ROOT / "scripts").glob("*.py")]
+                             *(ROOT / "scripts").glob("*.py"),
+                             *(ROOT / "tests").glob("*.py")]
                  if p.name != "__init__.py")  # the package re-exports its API
 
 

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from takayama import (IncomeSample, PovertyConfig, build_empirical,
-                      empirical_distribution_from_values, fgt_index, pareto,
+from takayama import (IncomeSample, PovertyConfig, build_empirical, fgt_index, pareto,
                       takayama_empirical, takayama_population, uniform)
 
 positive_incomes = st.lists(
@@ -26,16 +25,16 @@ def t_direct(values, z):
 
 def test_exact_small_samples():
     cfg10 = PovertyConfig(10.0)
-    assert takayama_empirical(empirical_distribution_from_values([5.0]), cfg10).value == 0.0
+    assert takayama_empirical(build_empirical(IncomeSample([5.0])), cfg10).value == 0.0
     cfg2 = PovertyConfig(2.0)
-    assert takayama_empirical(empirical_distribution_from_values([3.0, 7.0]), cfg2).value == 1.5
-    assert takayama_empirical(empirical_distribution_from_values([1.0, 3.0]), cfg2).value == 1.0
+    assert takayama_empirical(build_empirical(IncomeSample([3.0, 7.0])), cfg2).value == 1.5
+    assert takayama_empirical(build_empirical(IncomeSample([1.0, 3.0])), cfg2).value == 1.0
 
 
 def test_no_poor_gives_one_plus_inverse_n():
     cfg = PovertyConfig(0.5)
     for n in (1, 2, 7, 40):
-        dist = empirical_distribution_from_values(np.linspace(1.0, 2.0, n))
+        dist = build_empirical(IncomeSample(np.linspace(1.0, 2.0, n)))
         assert takayama_empirical(dist, cfg).value == pytest.approx(1 + 1 / n, abs=1e-15)
 
 
@@ -116,8 +115,8 @@ def test_consistency_large_sample(rng):
 
 def test_fgt_examples():
     cfg = PovertyConfig(2.0)
-    d37 = empirical_distribution_from_values([3.0, 7.0])
-    d13 = empirical_distribution_from_values([1.0, 3.0])
+    d37 = build_empirical(IncomeSample([3.0, 7.0]))
+    d13 = build_empirical(IncomeSample([1.0, 3.0]))
     assert fgt_index(d37, cfg, 1.0).value == 0.0
     assert fgt_index(d13, cfg, 0.0).value == 0.5
     assert fgt_index(d13, cfg, 1.0).value == 0.25

@@ -230,8 +230,9 @@ def test_run_config_validation():
         RunConfig(poverty_line=-2.0)
     with pytest.raises(DataFormatError):
         RunConfig(confidence_level=2.0)
-    with pytest.raises(DataFormatError):
-        RunConfig(quad_tol=0.0)
+    for tol in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(DataFormatError, match="quadrature tolerance"):
+            RunConfig(quad_tol=tol)
 
 
 def _index_report():
@@ -344,6 +345,38 @@ def test_cli_degenerate_sample_is_numerical_failure(tmp_path):
     assert cli_dispatch(["index", "--input", str(path), "--poverty-line", "2"]) == 3
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_cli_quad_tol_must_be_positive_and_finite(tol, capsys):
+    argv = ["simulate", "--model", "lognormal:0,0.8", "--z", "1", "--n", "50",
+            "--reps", "5", f"--quad-tol={tol}"]
+    assert cli_dispatch(argv) == 2
+    assert "quadrature tolerance must be positive and finite" in capsys.readouterr().err
+
+
+def _source_env():
+    """The environment with this takayama package first on PYTHONPATH."""
+    source = os.path.dirname(os.path.dirname(takayama.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+    return env
+
+
+@pytest.mark.parametrize("module", ["takayama", "takayama.cli"])
+def test_python_m_runs_the_cli(module, survey_csv, tmp_path, capsys):
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", module, *argv], env=_source_env(),
+                              capture_output=True, text=True, timeout=120)
+
+    missing = run("index", "--input", str(tmp_path / "missing.csv"), "--poverty-line", "2")
+    assert missing.returncode == 2
+    assert "data error" in missing.stderr
+    argv = ["index", "--input", survey_csv, "--poverty-line", "4.5"]
+    done = run(*argv)
+    assert done.returncode == 0
+    assert cli_dispatch(argv) == 0
+    assert done.stdout == capsys.readouterr().out
+
+
 def test_cli_config_file_with_flag_override(survey_csv, tmp_path, capsys):
     config_path = tmp_path / "run.json"
     config_path.write_text(json.dumps({"poverty_line": 2.0,
@@ -420,13 +453,10 @@ def test_cli_simulate_refuses_infinite_variance_model(capsys):
 
 def _scipy_modules_after(code):
     """Run code in a fresh interpreter; return the scipy modules it loaded."""
-    source = os.path.dirname(os.path.dirname(takayama.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
     probe = code + ("\nimport sys\n"
                     "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
+    done = subprocess.run([sys.executable, "-c", probe], env=_source_env(),
+                          capture_output=True, text=True, timeout=120, check=True)
     return done.stdout.strip().splitlines()[-1]
 
 

@@ -6,10 +6,9 @@ import pytest
 
 from takayama import (AnalyticDistribution, IncomeSample, PovertyConfig,
                       ReplicateStudy, bootstrap_variance, build_empirical,
-                      draw_mixture_sample, empirical_distribution_from_values,
-                      exponential, ks_normality, lognormal, mixture, population_truth,
-                      run_replicates, sigma_plugin, takayama_empirical,
-                      takayama_population, uniform)
+                      draw_mixture_sample, exponential, ks_normality, lognormal,
+                      mixture, population_truth, run_replicates, sigma_plugin,
+                      takayama_empirical, uniform)
 from takayama import asymptotics, montecarlo
 from takayama.asymptotics import influence_rows, plugin_rows
 from takayama.montecarlo import CHUNK_ELEMENTS, _draw_rows, _replicate_rng
@@ -68,7 +67,7 @@ def test_component_frequency_concentrates():
     assert abs(freq - 0.5) < 0.01
 
 
-def test_pooled_empirical_cdf_close_to_mixture_cdf():
+def test_pooled_step_cdf_close_to_mixture_cdf():
     mix = mixture((uniform(0.0, 1.0), exponential(1.0)), (0.4, 0.6))
     sample = draw_mixture_sample(mix, 100_000, seed=3)
     dist = build_empirical(sample)
@@ -196,7 +195,7 @@ def test_bootstrap_stability_across_resample_counts(rng):
 def test_bootstrap_tracks_plugin(rng):
     values = rng.random(2000)
     boot = bootstrap_variance(values, CFG1, 500, seed=9)
-    plug = sigma_plugin(empirical_distribution_from_values(values), CFG1).total
+    plug = sigma_plugin(build_empirical(IncomeSample(values)), CFG1).total
     assert boot == pytest.approx(plug, rel=0.15)
 
 
@@ -268,7 +267,6 @@ def test_plugin_rows_match_one_row_oracles(strict):
         one = sigma_plugin(dist, config)
         assert one.total == pytest.approx(want.total, rel=1e-12)
         assert takayama_empirical(dist, config).value == scored.index[i]
-    assert plugin_rows(rows, rows.mean(axis=1), config, variance=False).sigma1_sq is None
 
 
 def test_plugin_rows_no_poor_and_all_poor():
@@ -313,11 +311,9 @@ def test_plugin_rows_reads_the_influence_core(monkeypatch):
         return influence_rows(sorted_rows, *args, **kwargs)
 
     monkeypatch.setattr(asymptotics, "influence_rows", counting_core)
-    sigma_plugin(empirical_distribution_from_values(np.linspace(0.1, 2.0, 30)), CFG1)
+    sigma_plugin(build_empirical(IncomeSample(np.linspace(0.1, 2.0, 30))), CFG1)
     assert calls == [(1, 30)]
     rows = _ties_chunk()
-    plugin_rows(rows, rows.mean(axis=1), CFG1, variance=False)
-    assert len(calls) == 1
     plugin_rows(rows, rows.mean(axis=1), CFG1)
     assert calls[1:] == [rows.shape]
 

@@ -14,6 +14,12 @@ def test_subdivision_cap_raises():
                   QuadratureSettings(abs_tol=1e-10, max_subdivisions=8))
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_settings_refuse_a_tolerance_that_is_not_positive_and_finite(tol):
+    with pytest.raises(ValueError, match="abs_tol must be positive and finite"):
+        QuadratureSettings(abs_tol=tol)
+
+
 def test_step_with_its_breakpoint_is_exact():
     value = integrate(lambda u: np.where(u < 0.3, 1.0, 3.0), 0.0, 1.0,
                       breakpoints=[0.3, 1.5])

@@ -7,9 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from takayama import (IncomeSample, NumericalError, PovertyConfig, build_empirical,
-                      empirical_cdf, empirical_distribution_from_values,
-                      empirical_quantile, exponential, lognormal, mixture, pareto,
-                      poor_count, standardize, uniform)
+                      exponential, lognormal, mixture, pareto, poor_count, standardize,
+                      uniform)
 
 incomes = st.lists(st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False),
                    min_size=1, max_size=60)
@@ -71,35 +70,6 @@ def test_income_sample_rejects_non_finite_divisors(bad):
         IncomeSample([1.0, 2.0], equivalence_divisors=[1.0, bad])
 
 
-def test_empirical_cdf_step_values():
-    dist = empirical_distribution_from_values([1.0, 2.0, 3.0])
-    assert empirical_cdf(dist, 2.0) == pytest.approx(2 / 3)
-    assert empirical_cdf(dist, 0.5) == 0.0
-    assert empirical_cdf(dist, 3.0) == 1.0
-
-
-def test_empirical_quantile_step_convention():
-    dist = empirical_distribution_from_values([1.0, 2.0, 3.0])
-    assert empirical_quantile(dist, 0.5) == 2.0
-    assert empirical_quantile(dist, 1 / 3) == 1.0  # boundary belongs to the first cell
-    assert empirical_quantile(dist, 1.0) == 3.0
-    with pytest.raises(ValueError):
-        empirical_quantile(dist, 0.0)
-    with pytest.raises(ValueError):
-        empirical_quantile(dist, 1.5)
-
-
-@given(incomes)
-def test_quantile_cdf_round_trip_on_grid(values):
-    if np.sort(values).mean() == 0.0:  # the mean build_empirical rejects
-        values = [v + 1.0 for v in values]
-    dist = build_empirical(IncomeSample(values))
-    n = dist.size
-    for j in range(1, n + 1):
-        assert empirical_quantile(dist, j / n) == dist.sorted_values[j - 1]
-        assert empirical_cdf(dist, dist.sorted_values[j - 1]) >= j / n
-
-
 @given(incomes, st.randoms())
 def test_permutation_equivariance(values, shuffler):
     if np.sort(values).mean() == 0.0:  # the mean build_empirical rejects
@@ -158,7 +128,7 @@ def test_mixture_parts():
 
 
 def test_poor_count_strictness():
-    dist = empirical_distribution_from_values([1.0, 2.0, 3.0])
+    dist = build_empirical(IncomeSample([1.0, 2.0, 3.0]))
     assert poor_count(dist, PovertyConfig(2.0)) == 2
     assert poor_count(dist, PovertyConfig(2.0, strict_comparison=True)) == 1
 
@@ -181,6 +151,6 @@ def test_standardize_degenerate():
 
 
 def test_immutability():
-    dist = empirical_distribution_from_values([1.0, 2.0])
+    dist = build_empirical(IncomeSample([1.0, 2.0]))
     with pytest.raises(ValueError):
         dist.sorted_values[0] = 7.0
