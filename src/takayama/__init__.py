@@ -18,7 +18,7 @@ from .montecarlo import (KsNormalityResult, ReplicateRecords, ReplicateStudy,
 from .normal import kolmogorov_critical_value, normal_cdf, normal_quantile
 from .quadrature import DEFAULT_QUADRATURE, QuadratureSettings, integrate
 from .samples import (EmpiricalDistribution, IncomeSample, PovertyConfig,
-                      build_empirical, poor_count, standardize)
+                      build_empirical, standardize)
 
 __version__ = "0.1.0"
 
@@ -36,7 +36,7 @@ __all__ = [
     "draw_mixture_sample", "exponential", "fgt_index", "gap_variance",
     "integrate", "kolmogorov_critical_value", "ks_normality",
     "lognormal", "mixture", "normal_cdf", "normal_quantile", "pareto",
-    "parse_distribution", "partition", "plugin_rows", "poor_count",
+    "parse_distribution", "partition", "plugin_rows",
     "population_truth",
     "recompose_interval", "representation_residual",
     "run_replicates", "sigma_analytic",

@@ -54,7 +54,6 @@ from .errors import NumericalError
 from .indices import takayama_rows
 from .normal import normal_quantile
 from .population import bind, influence_variances
-from .quadrature import DEFAULT_QUADRATURE, QuadratureSettings
 from .samples import EmpiricalDistribution, PovertyConfig
 
 
@@ -82,12 +81,14 @@ class VarianceDecomposition:
 
 @dataclass(frozen=True)
 class ConfidenceInterval:
+    """center +- half_width at the given level; center and half_width may
+    be arrays of many intervals at one level, elementwise."""
     center: float
     half_width: float
     level: float
 
     def __post_init__(self):
-        if self.half_width < 0:
+        if np.any(self.half_width < 0):
             raise ValueError(f"half width must be non-negative, got {self.half_width}")
         if not 0.0 < self.level < 1.0:
             raise ValueError(f"level must lie in (0, 1), got {self.level}")
@@ -101,7 +102,7 @@ class ConfidenceInterval:
         return self.center + self.half_width
 
     def contains(self, value: float) -> bool:
-        return self.lower <= value <= self.upper
+        return (self.lower <= value) & (value <= self.upper)
 
     def shifted(self, offset: float) -> "ConfidenceInterval":
         return ConfidenceInterval(self.center + offset, self.half_width, self.level)
@@ -197,19 +198,16 @@ def sigma_plugin(dist: EmpiricalDistribution,
                                  float(rows.sigma12[0]), float(rows.total[0]))
 
 
-def sigma_analytic(dist: AnalyticDistribution, config: PovertyConfig,
-                   quad: QuadratureSettings = DEFAULT_QUADRATURE) -> VarianceDecomposition:
+def sigma_analytic(dist: AnalyticDistribution, config: PovertyConfig) -> VarianceDecomposition:
     """Population sigma1^2 = Var g, sigma2^2 = Var B and sigma12 = -Cov(g, B)
     by 1-D quadrature over each mixture component's quantile (see
     population); the cross-check path for sigma_plugin.  Needs E X^2 <
     infinity (closed form when the law carries one, tail quadrature
-    otherwise).
+    otherwise).  With no poor mass P(h) = 0, so g and B vanish and every
+    component is exactly zero.
     """
     require_finite_second_moment(dist)
-    law = bind(dist, config, quad)
-    if law.s_poor <= 0.0:
-        return VarianceDecomposition.assemble(0.0, 0.0, 0.0)
-    decomposition = VarianceDecomposition.assemble(*influence_variances(law))
+    decomposition = VarianceDecomposition.assemble(*influence_variances(bind(dist, config)))
     if decomposition.total < -1e-9:
         # The population total is a Gaussian variance; a genuinely negative
         # value means the quadratures disagree beyond tolerance.
@@ -219,20 +217,21 @@ def sigma_analytic(dist: AnalyticDistribution, config: PovertyConfig,
 
 def confidence_interval(point: float, variance: float, n: int,
                         level: float) -> ConfidenceInterval:
-    """Normal interval point +- z_{(1+level)/2} sqrt(variance / n)."""
-    if variance < 0:
+    """Normal interval point +- z_{(1+level)/2} sqrt(variance / n); point
+    and variance may be arrays, giving one interval per entry (a NaN
+    variance gives an interval that contains nothing)."""
+    if np.any(variance < 0):
         raise ValueError(f"variance must be non-negative, got {variance}")
     if n < 1:
         raise ValueError(f"sample size must be at least 1, got {n}")
     if not 0.0 < level < 1.0:
         raise ValueError(f"confidence level must lie in (0, 1), got {level}")
     z = normal_quantile(0.5 * (1.0 + level))
-    return ConfidenceInterval(point, z * math.sqrt(variance / n), level)
+    return ConfidenceInterval(point, z * np.sqrt(variance / n), level)
 
 
 def representation_residual(rows: np.ndarray, dist: AnalyticDistribution,
-                            config: PovertyConfig,
-                            quad: QuadratureSettings = DEFAULT_QUADRATURE) -> np.ndarray:
+                            config: PovertyConfig) -> np.ndarray:
     """sqrt(n)(T_n - T) minus its first-order expansion G_n(g) + beta_n, for
     every row of an (m, n) array of samples; a 1-D sample is one row.
 
@@ -249,7 +248,7 @@ def representation_residual(rows: np.ndarray, dist: AnalyticDistribution,
     means = x.mean(axis=1)
     if not means.all():
         raise NumericalError("degenerate sample mean")
-    law = bind(dist, config, quad)
+    law = bind(dist, config)
     mu, p_h = law.mu, law.p_h
     f_at = np.asarray(dist.cdf(x), dtype=float)
     poor = config.poor_mask(x)

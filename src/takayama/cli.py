@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -81,11 +82,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-_CONFIG_FLAGS = ("poverty_line", "confidence_level", "strict_comparison",
-                 "income_column", "group_column", "adult_equiv_column",
-                 "quad_tol", "seed", "sample_size", "replicates", "threads")
-
-
 def _run_config(args: argparse.Namespace) -> RunConfig:
     file_values = {}
     if getattr(args, "config", None):
@@ -98,7 +94,7 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
             raise DataFormatError(f"{args.config}: not valid JSON ({exc})") from exc
         if not isinstance(file_values, dict):
             raise DataFormatError(f"{args.config}: config must be a JSON object")
-    flag_values = {name: getattr(args, name, None) for name in _CONFIG_FLAGS}
+    flag_values = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
     if getattr(args, "poverty_line_alias", None) is not None:
         flag_values["poverty_line"] = args.poverty_line_alias
     return RunConfig.merged(file_values, flag_values)
@@ -179,8 +175,7 @@ def _simulate_report(args: argparse.Namespace, run: RunConfig) -> dict:
     model = mixture(components, weights)
     config = run.poverty()
     study = ReplicateStudy(model, run.sample_size, run.replicates, run.seed, config)
-    records = run_replicates(study, target=args.target, threads=run.threads,
-                             quad=run.quadrature())
+    records = run_replicates(study, target=args.target, threads=run.threads)
     deviations = records.scaled_deviations(run.sample_size)
     ks = (ks_normality(deviations) if deviations.size >= 100 else None)
     return {

@@ -39,7 +39,6 @@ from .distributions import AnalyticDistribution, mixture
 from .errors import NumericalError
 from .indices import takayama_empirical, takayama_population
 from .population import gap_influence
-from .quadrature import DEFAULT_QUADRATURE, QuadratureSettings
 from .samples import (EmpiricalDistribution, IncomeSample, PovertyConfig,
                       build_empirical)
 
@@ -148,20 +147,18 @@ class GapEstimate:
         return float(np.dot(self.weights, self.local_indices))
 
 
-def _index(dist: GroupDistribution, config: PovertyConfig,
-           quad: QuadratureSettings) -> float:
+def _index(dist: GroupDistribution, config: PovertyConfig) -> float:
     if isinstance(dist, EmpiricalDistribution):
         return takayama_empirical(dist, config).value
-    return takayama_population(dist, config, quad).value
+    return takayama_population(dist, config).value
 
 
-def decomposability_gap(part: SubgroupPartition, config: PovertyConfig,
-                        quad: QuadratureSettings = DEFAULT_QUADRATURE) -> GapEstimate:
+def decomposability_gap(part: SubgroupPartition, config: PovertyConfig) -> GapEstimate:
     """Gap between the pooled Takayama index and the weighted subgroup
     indices: empirical indices on an empirical partition, population
     indices (the population gap) on an analytic one."""
-    global_index = _index(part.pooled, config, quad)
-    locals_ = tuple(_index(g.dist, config, quad) for g in part.groups)
+    global_index = _index(part.pooled, config)
+    locals_ = tuple(_index(g.dist, config) for g in part.groups)
     weights = tuple(g.weight for g in part.groups)
     return GapEstimate(global_index, locals_, weights,
                        global_index - float(np.dot(weights, locals_)))
@@ -231,8 +228,7 @@ def _weighted_variance(values: Sequence[float], weights: np.ndarray) -> float:
     return float(np.dot(weights, deviations * deviations))
 
 
-def gap_variance(part: SubgroupPartition, config: PovertyConfig,
-                 quad: QuadratureSettings = DEFAULT_QUADRATURE) -> GapVariance:
+def gap_variance(part: SubgroupPartition, config: PovertyConfig) -> GapVariance:
     """The three thetas and the per-group scalars, on the empirical or the
     analytic route by the partition kind.
 
@@ -243,8 +239,8 @@ def gap_variance(part: SubgroupPartition, config: PovertyConfig,
         theta1, mean_scalars = _empirical_gap_influence(part, config)
     else:
         theta1, mean_scalars = gap_influence([g.dist for g in part.groups], part.weights,
-                                             part.pooled.mean, config, quad)
-    gap_scalars = [m_h - _index(g.dist, config, quad)
+                                             part.pooled.mean, config)
+    gap_scalars = [m_h - _index(g.dist, config)
                    for m_h, g in zip(mean_scalars, part.groups)]
     p = part.weights
     return GapVariance(theta1, _weighted_variance(gap_scalars, p),

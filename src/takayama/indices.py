@@ -21,8 +21,7 @@ import numpy as np
 
 from .distributions import AnalyticDistribution
 from .population import bind
-from .quadrature import DEFAULT_QUADRATURE, QuadratureSettings
-from .samples import EmpiricalDistribution, PovertyConfig, poor_count
+from .samples import EmpiricalDistribution, PovertyConfig
 
 
 @dataclass(frozen=True)
@@ -53,11 +52,10 @@ def takayama_rows(sorted_rows: np.ndarray, means: np.ndarray,
     return 1.0 + 1.0 / n - 2.0 * weighted / (means * n * n)
 
 
-def takayama_population(dist: AnalyticDistribution, config: PovertyConfig,
-                        quad: QuadratureSettings = DEFAULT_QUADRATURE) -> IndexValue:
+def takayama_population(dist: AnalyticDistribution, config: PovertyConfig) -> IndexValue:
     """Evaluate T = 1 - 2 P(h) / mu, with P(h) the integral of
     x (1 - F(x)) over each component's quantile below the line."""
-    law = bind(dist, config, quad)
+    law = bind(dist, config)
     return IndexValue(1.0 - 2.0 * law.p_h / law.mu)
 
 
@@ -72,7 +70,7 @@ def fgt_index(dist: EmpiricalDistribution, config: PovertyConfig,
     if alpha < 0:
         raise ValueError(f"FGT order must be non-negative, got {alpha}")
     z = config.poverty_line
-    q = poor_count(dist, config)
+    q = int(np.count_nonzero(config.poor_mask(dist.sorted_values)))
     if q == 0:
         return IndexValue(0.0)
     gaps = (z - dist.sorted_values[:q]) / z

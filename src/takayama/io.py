@@ -16,8 +16,8 @@ import io as _io
 import json
 import math
 import warnings
-from dataclasses import dataclass, fields
-from typing import Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Optional, Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -62,18 +62,21 @@ class RunConfig:
         if self.poverty_line is None:
             raise DataFormatError("a poverty line is required")
         return PovertyConfig(self.poverty_line, self.confidence_level,
-                             self.strict_comparison)
-
-    def quadrature(self) -> QuadratureSettings:
-        return QuadratureSettings(abs_tol=self.quad_tol)
+                             self.strict_comparison, QuadratureSettings(abs_tol=self.quad_tol))
 
     @classmethod
     def merged(cls, file_values: Mapping, flag_values: Mapping) -> "RunConfig":
-        """Config-file values overridden by explicitly set flags."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(file_values) - known
+        """Config-file values, each of its field's type (an int passes for a
+        float, a bool only for a bool), overridden by explicitly set flags."""
+        hints = get_type_hints(cls)
+        unknown = set(file_values) - set(hints)
         if unknown:
             raise DataFormatError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in file_values.items():
+            kinds = get_args(hints[key]) or (hints[key],)
+            if type(value) not in kinds + ((int,) if float in kinds else ()):
+                names = " or ".join(kind.__name__ for kind in kinds if kind is not type(None))
+                raise DataFormatError(f"config key {key!r} must be a {names}, got {value!r}")
         merged = dict(file_values)
         merged.update({k: v for k, v in flag_values.items() if v is not None})
         return cls(**merged)

@@ -27,13 +27,12 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from .asymptotics import plugin_rows
+from .asymptotics import confidence_interval, plugin_rows
 from .decomposition import analytic_partition, decomposability_gap, gap_variance, partition
 from .distributions import AnalyticDistribution, require_finite_second_moment
 from .errors import NumericalError
 from .indices import takayama_population, takayama_rows
-from .normal import kolmogorov_critical_value, ndtr, normal_quantile
-from .quadrature import DEFAULT_QUADRATURE, QuadratureSettings
+from .normal import kolmogorov_critical_value, ndtr
 from .samples import IncomeSample, PovertyConfig, build_empirical, standardize
 
 TARGET_TAKAYAMA = "takayama"
@@ -138,28 +137,27 @@ class ReplicateStudy:
         require_finite_second_moment(self.model)
 
 
-def population_truth(dist: AnalyticDistribution, config: PovertyConfig, target: str,
-                     quad: QuadratureSettings = DEFAULT_QUADRATURE) -> float:
+def population_truth(dist: AnalyticDistribution, config: PovertyConfig, target: str) -> float:
     """Population value of the study statistic: the index of dist, or the
     gap over its parts as groups."""
     if target == TARGET_TAKAYAMA:
-        return takayama_population(dist, config, quad).value
+        return takayama_population(dist, config).value
     if target == TARGET_GAP:
         part = analytic_partition([(str(i), law, w) for i, (w, law) in enumerate(dist.parts)])
-        return decomposability_gap(part, config, quad).gap
+        return decomposability_gap(part, config).gap
     raise ValueError(f"unknown study target {target!r}")
 
 
 def run_replicates(study: ReplicateStudy, target: str = TARGET_TAKAYAMA,
-                   threads: int = 1, compute_variance: bool = True,
-                   quad: QuadratureSettings = DEFAULT_QUADRATURE) -> ReplicateRecords:
+                   threads: int = 1, compute_variance: bool = True) -> ReplicateRecords:
     """Run the study and return its records.
 
     Degenerate replicates (zero sample mean) are flagged and kept so the
-    replicate count stays fixed.  With compute_variance the per-replicate
-    plug-in variance and a CI-hit flag against the population truth are
-    recorded; coverage then reads straight off the records.  A gap study
-    needs a model of at least two parts.  `threads` is accepted for
+    replicate count stays fixed.  The population truth is integrated to
+    study.config.quadrature.  With compute_variance the per-replicate
+    plug-in variance and a CI-hit flag against the truth are recorded;
+    coverage then reads straight off the records.  A gap study needs a
+    model of at least two parts.  `threads` is accepted for
     compatibility and has no effect (see the module notes).
     """
     if target not in (TARGET_TAKAYAMA, TARGET_GAP):
@@ -167,7 +165,7 @@ def run_replicates(study: ReplicateStudy, target: str = TARGET_TAKAYAMA,
     model = study.model
     if target == TARGET_GAP and len(model.parts) < 2:
         raise ValueError("gap studies need a mixture with at least two components")
-    truth = population_truth(model, study.config, target, quad)
+    truth = population_truth(model, study.config, target)
     n = study.sample_size
     r = study.replicate_count
     config = study.config
@@ -189,13 +187,11 @@ def run_replicates(study: ReplicateStudy, target: str = TARGET_TAKAYAMA,
 
     ci_hits = np.zeros(r, dtype=bool)
     if compute_variance:
-        # The interval of confidence_interval, for every replicate at once;
-        # NaN (degenerate) rows compare False.  No variance is negative: the
-        # plug-in total is a mean square, and theta1^2 and theta2^2 are
-        # weighted variances.
-        z = normal_quantile(0.5 * (1.0 + config.confidence_level))
-        half = z * np.sqrt(variances / n)
-        ci_hits = (values - half <= truth) & (truth <= values + half) & ~degenerate
+        # One interval per replicate; NaN (degenerate) rows contain nothing.
+        # No variance is negative: the plug-in total is a mean square, and
+        # theta1^2 and theta2^2 are weighted variances.
+        intervals = confidence_interval(values, variances, n, config.confidence_level)
+        ci_hits = intervals.contains(truth) & ~degenerate
     return ReplicateRecords(target, truth, values, variances, ci_hits, degenerate)
 
 

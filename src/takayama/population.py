@@ -15,7 +15,8 @@ second moment.  T = 1 - 2 P(h) / mu, and the variances are moments of the
 influence function phi = g - (B - E B): sigma1^2 = Var g, sigma2^2 = Var B,
 sigma12 = -Cov(g, B), and theta1^2 = sum_h p_h Var_h(phi_pool - phi_h).
 Integrands in u kink where Q_k(u) crosses another component's support end,
-so F_k at those ends are breakpoints.
+so F_k at those ends are breakpoints.  Integrals run to the tolerance of
+PovertyConfig.quadrature, and those feeding other integrands to a tenth.
 """
 from __future__ import annotations
 
@@ -33,10 +34,9 @@ from .samples import PovertyConfig
 class Components:
     """Plain laws shared by one or more mixtures, bound to a poverty line."""
 
-    def __init__(self, dists: Sequence[AnalyticDistribution], config: PovertyConfig,
-                 quad: QuadratureSettings):
+    def __init__(self, dists: Sequence[AnalyticDistribution], config: PovertyConfig):
         self.dists = tuple(dists)
-        self.quad = quad
+        self.quad = config.quadrature
         line = config.poverty_line
         self.s = np.array([float(np.clip(d.cdf(line), 0.0, 1.0)) for d in self.dists])
         ends = np.array(sorted({e for d in self.dists for e in d.support if math.isfinite(e)}))
@@ -126,10 +126,9 @@ class Law:
                                  lambda tail_q, tail_q2: self.slope * tail_q))
 
 
-def bind(dist: AnalyticDistribution, config: PovertyConfig,
-         quad: QuadratureSettings) -> Law:
+def bind(dist: AnalyticDistribution, config: PovertyConfig) -> Law:
     weights, dists = zip(*dist.parts)
-    return Law(Components(dists, config, quad), np.array(weights), dist.mean)
+    return Law(Components(dists, config), np.array(weights), dist.mean)
 
 
 def influence_variances(law: Law) -> Tuple[float, float, float]:
@@ -148,14 +147,13 @@ def influence_variances(law: Law) -> Tuple[float, float, float]:
 
 
 def gap_influence(groups: Sequence[AnalyticDistribution], weights: np.ndarray,
-                  pooled_mean: float, config: PovertyConfig,
-                  quad: QuadratureSettings) -> Tuple[float, List[float]]:
+                  pooled_mean: float, config: PovertyConfig) -> Tuple[float, List[float]]:
     """theta1^2 = sum_h p_h Var_h(a_h) with a_h = phi_pool - phi_h, and the
     per-group scalars E_h a_h, for the pooled law sum_h p_h F_h."""
     parts = [dist.parts for dist in groups]
     position = {law: j for j, law in enumerate(dict.fromkeys(
         law for group in parts for _, law in group))}
-    comps = Components(list(position), config, quad)
+    comps = Components(list(position), config)
     w = np.zeros((len(groups), len(position)))
     for h, group in enumerate(parts):
         for q, law in group:

@@ -12,6 +12,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NumericalError
+from .quadrature import DEFAULT_QUADRATURE, QuadratureSettings
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -22,15 +23,17 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PovertyConfig:
-    """Poverty line and inference settings.
+    """The settings of one run, shared by its sample and population sides.
 
     strict_comparison selects "poor" = income < line; the default counts
     incomes equal to the line as poor.  One flag governs the index, the
-    kernels, and the decomposition consistently.
+    kernels, and the decomposition consistently.  quadrature sets the
+    tolerance of every population functional (see population).
     """
     poverty_line: float
     confidence_level: float = 0.95
     strict_comparison: bool = False
+    quadrature: QuadratureSettings = DEFAULT_QUADRATURE
 
     def __post_init__(self):
         if not 0 < self.poverty_line < math.inf:
@@ -93,14 +96,17 @@ class IncomeSample:
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalDistribution:
-    """Order statistics of a sample with its mean and size."""
+    """Order statistics of a sample with its mean."""
     sorted_values: np.ndarray
     mean: float
-    size: int
+
+    @property
+    def size(self) -> int:
+        return int(self.sorted_values.size)
 
 
 def build_empirical(sample: IncomeSample) -> EmpiricalDistribution:
-    """Sort the (equivalence-scaled) incomes and record mean and size.
+    """Sort the (equivalence-scaled) incomes and record their mean.
 
     Scaling happens here, before any statistic is computed.  Raises on an
     empty sample and on a zero mean, which would make every index formula
@@ -115,13 +121,7 @@ def build_empirical(sample: IncomeSample) -> EmpiricalDistribution:
     mean = float(ordered.mean())
     if mean == 0.0:
         raise NumericalError("degenerate sample mean")
-    return EmpiricalDistribution(_readonly(ordered), mean, int(values.size))
-
-
-def poor_count(dist: EmpiricalDistribution, config: PovertyConfig) -> int:
-    """Number of poor observations; by sortedness these occupy ranks 1..q."""
-    side = "left" if config.strict_comparison else "right"
-    return int(np.searchsorted(dist.sorted_values, config.poverty_line, side=side))
+    return EmpiricalDistribution(_readonly(ordered), mean)
 
 
 def standardize(values: np.ndarray) -> np.ndarray:

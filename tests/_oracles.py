@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Tuple
 
 import numpy as np
@@ -38,7 +38,7 @@ from takayama.io import RunConfig
 from takayama.montecarlo import (TARGET_TAKAYAMA, ReplicateRecords, _replicate_rng,
                                  population_truth)
 from takayama.quadrature import QuadratureSettings
-from takayama.samples import IncomeSample, build_empirical, poor_count
+from takayama.samples import IncomeSample, build_empirical
 
 
 def bisection_normal_quantile(p: float, tol: float = 1e-12) -> float:
@@ -179,7 +179,7 @@ def gap_variance_influence_oracle(groups, weights, config,
         c_h.append(quad(lambda s: s * float(k_grp[h].q(grp.quantile(s)))
                         if s < k_grp[h].s_poor else 0.0,
                         0, 1, points=[k_grp[h].s_poor], limit=200)[0])
-        t_h.append(takayama_population(grp, config, settings).value)
+        t_h.append(takayama_population(grp, replace(config, quadrature=settings)).value)
 
     def phi0(h: int, x: float) -> float:
         grp = groups[h]
@@ -520,7 +520,8 @@ def ingest_csv_rowwise_oracle(path: str, config: RunConfig) -> IncomeSample:
 def takayama_empirical_oracle(dist, config) -> IndexValue:
     """T_n as one dot product over the q poor order statistics."""
     n = dist.size
-    q = poor_count(dist, config)
+    side = "left" if config.strict_comparison else "right"
+    q = int(np.searchsorted(dist.sorted_values, config.poverty_line, side=side))
     ranks = np.arange(1, q + 1, dtype=float)
     weighted = float(np.dot(n - ranks + 1.0, dist.sorted_values[:q]))
     value = 1.0 + 1.0 / n - 2.0 * weighted / (dist.mean * n * n)

@@ -163,7 +163,8 @@ def test_criterion_7_gap_limit():
                          gv_single.theta3_sq)
     identical = analytic_partition([("a", exponential(1.0), 0.5),
                                     ("b", exponential(1.0), 0.5)])
-    gv_id = gap_variance(identical, CFG1, QuadratureSettings(abs_tol=1e-11))
+    tight = PovertyConfig(1.0, quadrature=QuadratureSettings(abs_tol=1e-11))
+    gv_id = gap_variance(identical, tight)
     degenerate_ok = (all(abs(v) <= 1e-10 for v in single_components)
                      and abs(gv_id.theta1_sq) <= 1e-10
                      and abs(gv_id.theta2_sq) <= 1e-10

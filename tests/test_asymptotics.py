@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from takayama import (DEFAULT_QUADRATURE, AnalyticDistribution, IncomeSample,
+from takayama import (AnalyticDistribution, IncomeSample,
                       PovertyConfig, QuadratureSettings, ReplicateStudy,
                       bootstrap_variance, build_empirical, confidence_interval, exponential,
                       kolmogorov_critical_value, lognormal, mixture, normal_quantile,
@@ -26,7 +26,7 @@ CFG1 = PovertyConfig(1.0)
 
 
 def test_kernel_values_uniform():
-    law = bind(uniform(0.0, 1.0), CFG1, DEFAULT_QUADRATURE)
+    law = bind(uniform(0.0, 1.0), CFG1)
     assert law.p_h == pytest.approx(1 / 6, abs=1e-12)
     assert law.g(np.array([0.5]), np.array([[0.5]]))[0] == pytest.approx(-1 / 3, abs=1e-9)
     # At 0.5 in a sample with mean 0.5 and F_n(0.5) = 1/2: h(0.5) = 0.25,
@@ -53,8 +53,8 @@ def test_centered_kernel_mean_near_zero(rng):
     x = np.sort(rng.random(500))[np.newaxis, :]
     g, _ = influence_rows(x, x.mean(axis=1), CFG1)
     assert abs(g.mean()) < 1e-12
-    assert abs(bind(uniform(0.0, 1.0), CFG1, DEFAULT_QUADRATURE).mean_g()) < 1e-9
-    assert abs(bind(exponential(1.3), CFG1, DEFAULT_QUADRATURE).mean_g()) < 1e-9
+    assert abs(bind(uniform(0.0, 1.0), CFG1).mean_g()) < 1e-9
+    assert abs(bind(exponential(1.3), CFG1).mean_g()) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +158,15 @@ def test_sigma_analytic_line_below_support():
     assert decomp.total == 0.0
 
 
+@pytest.mark.parametrize("dist, line", [
+    (pareto(1.0, 3.0), 0.5), (mixture([pareto(1.0, 3.0), uniform(2.0, 3.0)], [0.5, 0.5]), 0.9),
+], ids=["pareto", "mixture"])
+def test_sigma_analytic_is_exactly_zero_without_poor_mass(dist, line):
+    decomp = sigma_analytic(dist, PovertyConfig(line))
+    assert (decomp.sigma1_sq, decomp.sigma2_sq, decomp.sigma12, decomp.total) == (
+        0.0, 0.0, 0.0, 0.0)
+
+
 @pytest.mark.parametrize("shape", [1.5, 2.0])
 def test_sigma_analytic_refuses_infinite_second_moment(shape):
     dist = pareto(0.5, shape)
@@ -214,6 +223,18 @@ def test_confidence_interval_matches_reported_arithmetic():
     ci = ConfidenceInterval(0.0203, 0.0099, 0.95)
     assert ci.lower == pytest.approx(0.0104, abs=1e-12)
     assert ci.upper == pytest.approx(0.0302, abs=1e-12)
+
+
+def test_confidence_interval_is_elementwise():
+    points, variances = np.array([0.1, 0.4, 0.5]), np.array([0.0, 2.0, np.nan])
+    many = confidence_interval(points, variances, 50, 0.9)
+    for k in range(2):
+        one = confidence_interval(points[k], variances[k], 50, 0.9)
+        assert (many.lower[k], many.upper[k]) == (one.lower, one.upper)
+        assert many.contains(0.4)[k] == one.contains(0.4)
+    assert many.contains(0.4).tolist() == [False, True, False]
+    with pytest.raises(ValueError):
+        confidence_interval(points, np.array([1.0, -1.0, 1.0]), 50, 0.9)
 
 
 def test_confidence_interval_validation():

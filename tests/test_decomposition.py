@@ -88,7 +88,7 @@ def test_empty_group_rejected():
     with pytest.raises(ValueError):
         Subgroup("empty", build_empirical(IncomeSample([1.0])), weight=0.0)
     with pytest.raises(ValueError, match="empty"):
-        Subgroup("empty", EmpiricalDistribution(np.array([]), 1.0, 0), weight=1.0)
+        Subgroup("empty", EmpiricalDistribution(np.array([]), 1.0), weight=1.0)
 
 
 def test_subgroup_size_reads_the_distribution():
@@ -207,7 +207,7 @@ def test_gap_variance_identical_groups_thetas_vanish_analytic():
     part = analytic_partition([("a", exponential(1.0), 0.5),
                                ("b", exponential(1.0), 0.5)])
     quad = QuadratureSettings(abs_tol=1e-11)
-    gv = gap_variance(part, CFG1, quad)
+    gv = gap_variance(part, PovertyConfig(1.0, quadrature=quad))
     assert abs(gv.theta1_sq) < 1e-10
     assert abs(gv.theta2_sq) < 1e-10
     assert abs(gv.theta3_sq) < 1e-10
@@ -229,8 +229,9 @@ def test_gap_variance_permutation_invariant(rng):
     base = [("a", exponential(1.0), 0.25), ("b", exponential(0.5), 0.4),
             ("c", uniform(0.0, 2.0), 0.35)]
     quad = QuadratureSettings(abs_tol=1e-9)
-    gv1 = gap_variance(analytic_partition(base), CFG1, quad)
-    gv2 = gap_variance(analytic_partition(base[::-1]), CFG1, quad)
+    config = PovertyConfig(1.0, quadrature=quad)
+    gv1 = gap_variance(analytic_partition(base), config)
+    gv2 = gap_variance(analytic_partition(base[::-1]), config)
     assert gv1.theta1_sq == pytest.approx(gv2.theta1_sq, rel=1e-6, abs=1e-9)
     assert gv1.theta2_sq == pytest.approx(gv2.theta2_sq, rel=1e-6, abs=1e-9)
     assert gv1.theta3_sq == pytest.approx(gv2.theta3_sq, rel=1e-6, abs=1e-9)

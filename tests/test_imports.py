@@ -1,8 +1,14 @@
-"""Every name a library module, script or test module imports is used in it."""
+"""Every name a library module, script or test module imports is used in it,
+and the quadrature tolerance reaches the public functions only through
+PovertyConfig."""
 import ast
+import dataclasses
+import inspect
 from pathlib import Path
 
 import pytest
+
+import takayama
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(p for p in [*(ROOT / "src" / "takayama").glob("*.py"),
@@ -37,3 +43,13 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_quadrature_travels_in_the_poverty_config():
+    assert "quadrature" in {f.name for f in dataclasses.fields(takayama.PovertyConfig)}
+    public = [getattr(takayama, name) for name in takayama.__all__]
+    callables = [obj for obj in public if callable(obj)
+                 and not (inspect.isclass(obj) and issubclass(obj, Exception))]
+    assert len(callables) > 40
+    assert [obj.__name__ for obj in callables
+            if "quad" in inspect.signature(obj).parameters] == []

@@ -390,6 +390,39 @@ def test_cli_config_file_with_flag_override(survey_csv, tmp_path, capsys):
     assert "90% CI" in out
 
 
+@pytest.mark.parametrize("command, values", [
+    ("simulate", {"sample_size": 2.5}),
+    ("simulate", {"seed": "x"}),
+    ("simulate", {"quad_tol": "1e-8"}),
+    ("index", {"poverty_line": "2"}),
+    ("index", {"strict_comparison": "no"}),
+])
+def test_cli_config_file_values_must_have_their_field_types(command, values, survey_csv,
+                                                            tmp_path, capsys):
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps(values), encoding="utf-8")
+    if command == "simulate":
+        argv = ["simulate", "--model", "uniform:0,1", "--z", "1", "--reps", "5"]
+    else:
+        argv = ["index", "--input", survey_csv,
+                *([] if "poverty_line" in values else ["--poverty-line", "5"])]
+    assert cli_dispatch([*argv, "--config", str(config_path)]) == 2
+    assert f"config key {next(iter(values))!r}" in capsys.readouterr().err
+
+
+def test_cli_config_file_takes_an_int_line_and_a_bool_flag(tmp_path, capsys):
+    data = tmp_path / "tiny.csv"
+    data.write_text("income\n1\n2\n2\n3\n", encoding="utf-8")
+    outputs = []
+    for values in ({"poverty_line": 2}, {"poverty_line": 2, "strict_comparison": True}):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(values), encoding="utf-8")
+        assert cli_dispatch(["index", "--input", str(data), "--config", str(config_path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert "index (%): 37.50" in outputs[0]
+    assert "index (%): 100.00" in outputs[1]
+
+
 def test_cli_output_file_and_report_rerender(survey_csv, tmp_path, capsys):
     out_path = tmp_path / "report.json"
     rc = cli_dispatch(["index", "--input", survey_csv, "--poverty-line", "4.5",

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from takayama import (IncomeSample, NumericalError, PovertyConfig, build_empirical,
-                      exponential, lognormal, mixture, pareto, poor_count, standardize,
+                      exponential, lognormal, mixture, pareto, standardize,
                       uniform)
 
 incomes = st.lists(st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False),
@@ -127,10 +127,11 @@ def test_mixture_parts():
         (0.2, "exponential(1)"), (0.2, "uniform(0,1)"), (0.6, "pareto(1,3)")]
 
 
-def test_poor_count_strictness():
+def test_poor_mask_strictness():
     dist = build_empirical(IncomeSample([1.0, 2.0, 3.0]))
-    assert poor_count(dist, PovertyConfig(2.0)) == 2
-    assert poor_count(dist, PovertyConfig(2.0, strict_comparison=True)) == 1
+    assert np.count_nonzero(PovertyConfig(2.0).poor_mask(dist.sorted_values)) == 2
+    strict = PovertyConfig(2.0, strict_comparison=True)
+    assert np.count_nonzero(strict.poor_mask(dist.sorted_values)) == 1
 
 
 def test_poverty_config_validation():
