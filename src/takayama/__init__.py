@@ -1,8 +1,8 @@
 """Takayama poverty index: estimation, asymptotic inference, and
 decomposability-gap analysis on income microdata."""
 
-from .asymptotics import (ConfidenceInterval, PluginRows,
-                          VarianceDecomposition, confidence_interval, plugin_rows,
+from .asymptotics import (ConfidenceInterval, VarianceDecomposition,
+                          confidence_interval, plugin_rows,
                           representation_residual, sigma_analytic, sigma_plugin)
 from .decomposition import (GapEstimate, GapVariance, Subgroup, SubgroupPartition,
                             analytic_partition, decomposability_gap, gap_variance,
@@ -26,7 +26,7 @@ __all__ = [
     "AnalyticDistribution", "ConfidenceInterval", "DataFormatError",
     "DEFAULT_QUADRATURE", "EmpiricalDistribution", "GapEstimate",
     "GapVariance", "IncomeSample", "IndexValue",
-    "KsNormalityResult", "NumericalError", "PluginRows",
+    "KsNormalityResult", "NumericalError",
     "PovertyConfig",
     "QuadratureError", "QuadratureSettings", "ReplicateRecords",
     "ReplicateStudy", "Subgroup", "SubgroupPartition",

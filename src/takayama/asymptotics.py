@@ -36,10 +36,11 @@ The plug-in estimator replaces F by the empirical CDF and mu by the sample
 mean, so B(x) becomes 1/n times the suffix sum of q over the sample values
 at and above x.  influence_rows computes g and B at every observation of
 a stack of sorted samples, row-wise in O(n); plugin_rows takes the
-variances as moments over those n values, and sigma_plugin is its one-row
-call.  The empirical gap variance (decomposition) reads the same core.
-The population values (sigma_analytic) are the same moments under F, by
-quadrature (see population).
+variances as moments over those n values, a VarianceDecomposition of
+per-row arrays (T_n is takayama_rows' job), and sigma_plugin is its
+one-row call.  The empirical gap variance (decomposition) reads the same
+core.  The population values (sigma_analytic) are the same moments under
+F, by quadrature (see population).
 """
 from __future__ import annotations
 
@@ -60,17 +61,18 @@ from .samples import EmpiricalDistribution, PovertyConfig
 @dataclass(frozen=True)
 class VarianceDecomposition:
     """sigma1^2, sigma2^2, sigma12 and the total sigma1^2 + sigma2^2 +
-    2 sigma12, the variance of the influence function phi."""
+    2 sigma12, the variance of the influence function phi; the fields may
+    be arrays of many decompositions, elementwise."""
     sigma1_sq: float
     sigma2_sq: float
     sigma12: float
     total: float
 
     def __post_init__(self):
-        if self.sigma1_sq < -1e-9 or self.sigma2_sq < -1e-9:
+        if np.any(self.sigma1_sq < -1e-9) or np.any(self.sigma2_sq < -1e-9):
             raise NumericalError(
-                f"negative variance component: sigma1^2={self.sigma1_sq:.3e}, "
-                f"sigma2^2={self.sigma2_sq:.3e}")
+                f"negative variance component: sigma1^2={np.min(self.sigma1_sq):.3e}, "
+                f"sigma2^2={np.min(self.sigma2_sq):.3e}")
 
     @classmethod
     def assemble(cls, sigma1_sq: float, sigma2_sq: float,
@@ -103,9 +105,6 @@ class ConfidenceInterval:
 
     def contains(self, value: float) -> bool:
         return (self.lower <= value) & (value <= self.upper)
-
-    def shifted(self, offset: float) -> "ConfidenceInterval":
-        return ConfidenceInterval(self.center + offset, self.half_width, self.level)
 
 
 def _tie_runs(x: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
@@ -157,26 +156,15 @@ def influence_rows(sorted_rows: np.ndarray, means: np.ndarray,
     return g, b
 
 
-@dataclass(frozen=True)
-class PluginRows:
-    """Per-row output of plugin_rows: T_n, the variance components and
-    their total."""
-    index: np.ndarray
-    sigma1_sq: np.ndarray
-    sigma2_sq: np.ndarray
-    sigma12: np.ndarray
-    total: np.ndarray
-
-
 def plugin_rows(sorted_rows: np.ndarray, means: np.ndarray,
-                config: PovertyConfig) -> PluginRows:
-    """The plug-in estimates of every row of an (m, n) array of ascending
-    samples, with means the row means: T_n and, over the n influence values
-    of influence_rows, sigma1^2 = Var g, sigma2^2 = Var B, sigma12 =
-    -Cov(g, B) and the total Var phi with phi = g - (B - E B).  The total
-    is the mean square of the centred phi, so it is never negative.
+                config: PovertyConfig) -> VarianceDecomposition:
+    """The plug-in variance of every row of an (m, n) array of ascending
+    samples, with means the row means: over the n influence values of
+    influence_rows, sigma1^2 = Var g, sigma2^2 = Var B, sigma12 =
+    -Cov(g, B) and the total Var phi with phi = g - (B - E B), each an
+    array over the rows.  The total is the mean square of the centred phi,
+    so it is never negative.
     """
-    index = takayama_rows(sorted_rows, means, config)
     g, b = influence_rows(sorted_rows, means, config)
     g -= g.mean(axis=1, keepdims=True)
     b -= b.mean(axis=1, keepdims=True)
@@ -186,8 +174,8 @@ def plugin_rows(sorted_rows: np.ndarray, means: np.ndarray,
     def mean_product(u: np.ndarray, v: np.ndarray) -> np.ndarray:
         return np.einsum("ij,ij->i", u, v) / n
 
-    return PluginRows(index, mean_product(g, g), mean_product(b, b), -mean_product(g, b),
-                      mean_product(phi, phi))
+    return VarianceDecomposition(mean_product(g, g), mean_product(b, b),
+                                 -mean_product(g, b), mean_product(phi, phi))
 
 
 def sigma_plugin(dist: EmpiricalDistribution,

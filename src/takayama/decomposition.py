@@ -120,7 +120,10 @@ def partition(sample: IncomeSample) -> SubgroupPartition:
     n = sample.size
     groups = []
     for lab, size, member_values in zip(codes, sizes.tolist(), members):
-        dist = build_empirical(IncomeSample(member_values))
+        try:
+            dist = build_empirical(IncomeSample(member_values))
+        except NumericalError as exc:
+            raise NumericalError(f"group {lab!r}: {exc}") from exc
         groups.append(Subgroup(str(lab), dist, size / n))
     pooled = build_empirical(IncomeSample(values))
     return SubgroupPartition(tuple(groups), pooled)
@@ -251,4 +254,5 @@ def gap_variance(part: SubgroupPartition, config: PovertyConfig) -> GapVariance:
 def recompose_interval(weighted_local_sum: float,
                        gap_ci: ConfidenceInterval) -> ConfidenceInterval:
     """Global-index interval: weighted subgroup indices plus the gap CI."""
-    return gap_ci.shifted(weighted_local_sum)
+    return ConfidenceInterval(weighted_local_sum + gap_ci.center, gap_ci.half_width,
+                              gap_ci.level)

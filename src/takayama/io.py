@@ -1,20 +1,20 @@
 """CSV ingestion of survey microdata and report emission.
 
-One fixed CSV dialect: comma-separated, UTF-8, mandatory header row,
-'.' decimal separator.  Fields may be quoted with '"' (holding commas,
-doubled quotes or line breaks); whitespace around a value is ignored;
-blank lines are skipped and do not count as rows; no line is a comment.
-Ingest parses the needed columns in one np.loadtxt pass and validates them
-with array masks.  Reports serialize deterministically to text
-(indices as percentages, two decimals), JSON (full precision), or tidy CSV
-(one row per group / replicate).
+One fixed CSV dialect: comma-separated, UTF-8 (a leading byte-order mark
+is skipped), mandatory header row, '.' decimal separator.  Fields may be
+quoted with '"' (holding commas, doubled quotes or line breaks);
+whitespace around a value is ignored; blank lines are skipped and do not
+count as rows; no line is a comment.  Ingest parses the needed columns in
+one np.loadtxt pass and validates them with array masks.  Reports
+serialize deterministically to text (indices as percentages, two
+decimals), JSON (full precision), or tidy CSV (one row per group /
+replicate).
 """
 from __future__ import annotations
 
 import csv
 import io as _io
 import json
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, get_args, get_type_hints
@@ -47,16 +47,10 @@ class RunConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if self.poverty_line is not None and self.poverty_line <= 0:
-            raise DataFormatError(f"poverty line must be positive, got {self.poverty_line}")
-        if not 0.0 < self.confidence_level < 1.0:
-            raise DataFormatError(
-                f"confidence level must lie in (0, 1), got {self.confidence_level}")
-        if not 0 < self.quad_tol < math.inf:
-            raise DataFormatError(
-                f"quadrature tolerance must be positive and finite, got {self.quad_tol}")
-        if self.threads < 1 or self.sample_size < 1 or self.replicates < 1:
-            raise DataFormatError("threads, sample size, and replicates must be >= 1")
+        # PovertyConfig, QuadratureSettings and ReplicateStudy check the
+        # other numbers; nothing else checks threads.
+        if self.threads < 1:
+            raise DataFormatError(f"threads must be >= 1, got {self.threads}")
 
     def poverty(self) -> PovertyConfig:
         if self.poverty_line is None:
@@ -92,7 +86,7 @@ def ingest_csv(path: str, config: RunConfig) -> IncomeSample:
     and within a row income is checked before the label and the divisor.
     """
     try:
-        handle = open(path, "r", encoding="utf-8", newline="")
+        handle = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise DataFormatError(f"cannot open {path}: {exc}") from exc
     with handle:

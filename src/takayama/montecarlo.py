@@ -14,8 +14,9 @@ and any `threads` value.
 Replicates are drawn and scored in chunks of at most
 max(1, CHUNK_ELEMENTS // n) rows.  Each row still draws from its own
 substream and is sorted and checked by build_empirical; the chunk's sorted
-rows then go through the row-wise plug-in core (plugin_rows) in one
-vectorised call.  The cap keeps memory flat in the replicate count.
+rows then go through the row-wise index (takayama_rows) and, when the
+variance is asked for, the row-wise plug-in core (plugin_rows), one
+vectorised call each.  The cap keeps memory flat in the replicate count.
 `threads` is still accepted but has no effect: a thread pool over
 replicates ran slower than one thread.
 """
@@ -198,7 +199,7 @@ def run_replicates(study: ReplicateStudy, target: str = TARGET_TAKAYAMA,
 def _score_index_rows(drawn: np.ndarray, config: PovertyConfig, compute_variance: bool):
     """Index and plug-in variance of each drawn row, as (values, variances,
     degenerate): every row is sorted on its own, then all go through one
-    plugin_rows call, or one takayama_rows call without the variance."""
+    takayama_rows call and, with compute_variance, one plugin_rows call."""
     values = np.full(len(drawn), np.nan)
     variances = np.full(len(drawn), np.nan)
     degenerate = np.zeros(len(drawn), dtype=bool)
@@ -214,11 +215,9 @@ def _score_index_rows(drawn: np.ndarray, config: PovertyConfig, compute_variance
         means.append(dist.mean)
     if kept:
         sorted_rows, means = np.stack(sorted_rows), np.array(means)
+        values[kept] = takayama_rows(sorted_rows, means, config)
         if compute_variance:
-            scored = plugin_rows(sorted_rows, means, config)
-            values[kept], variances[kept] = scored.index, scored.total
-        else:
-            values[kept] = takayama_rows(sorted_rows, means, config)
+            variances[kept] = plugin_rows(sorted_rows, means, config).total
     return values, variances, degenerate
 
 
@@ -273,19 +272,20 @@ def bootstrap_variance(sample: Union[IncomeSample, Sequence[float], np.ndarray],
     return n * float(stats.var(ddof=1))
 
 
+# Level of the normality test.
+KS_ALPHA = 0.01
+
+
 @dataclass(frozen=True)
 class KsNormalityResult:
     statistic: float
     passed: bool
     critical_value: float
-    alpha: float
-    size: int
 
 
-def ks_normality(values: Sequence[float] | np.ndarray,
-                 alpha: float = 0.01) -> KsNormalityResult:
+def ks_normality(values: Sequence[float] | np.ndarray) -> KsNormalityResult:
     """One-sample Kolmogorov-Smirnov test of standardized values against the
-    standard normal, with the asymptotic critical value.
+    standard normal at level KS_ALPHA, with the asymptotic critical value.
 
     Values are standardized by their own mean and standard deviation first;
     a zero standard deviation fails the test outright.
@@ -294,12 +294,12 @@ def ks_normality(values: Sequence[float] | np.ndarray,
     n = arr.size
     if n < 100:
         raise ValueError(f"at least 100 values required, got {n}")
-    critical = kolmogorov_critical_value(alpha, n)
+    critical = kolmogorov_critical_value(KS_ALPHA, n)
     try:
         z = np.sort(standardize(arr))
     except NumericalError:
-        return KsNormalityResult(math.inf, False, critical, alpha, n)
+        return KsNormalityResult(math.inf, False, critical)
     phi = ndtr(z)
     i = np.arange(1, n + 1)
     statistic = float(np.max(np.maximum(i / n - phi, phi - (i - 1) / n)))
-    return KsNormalityResult(statistic, statistic <= critical, critical, alpha, n)
+    return KsNormalityResult(statistic, statistic <= critical, critical)

@@ -26,21 +26,22 @@ class QuadratureSettings:
 
     abs_tol: absolute tolerance requested from the integrator, positive
     and finite.
-    max_subdivisions: cap on adaptive panels per integral.
     """
     abs_tol: float = 1e-8
-    max_subdivisions: int = 400
 
     def __post_init__(self):
         if not 0 < self.abs_tol < math.inf:
-            raise ValueError(f"abs_tol must be positive and finite, got {self.abs_tol}")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
+            raise ValueError(
+                f"quadrature tolerance must be positive and finite, got {self.abs_tol}")
 
     def tighter(self) -> "QuadratureSettings":
         """Settings a tenth as tolerant, for integrals that feed other
         integrands."""
-        return QuadratureSettings(self.abs_tol * 0.1, self.max_subdivisions)
+        return QuadratureSettings(self.abs_tol * 0.1)
+
+
+# Cap on adaptive panels per integral.
+MAX_SUBDIVISIONS = 400
 
 
 DEFAULT_QUADRATURE = QuadratureSettings()
@@ -81,7 +82,7 @@ def _adaptive(fn: Callable, edges: np.ndarray, owner: np.ndarray, integrals: int
               settings: QuadratureSettings) -> np.ndarray:
     """Integrals of fn over the panels between edges, summed per owner:
     shape (..., integrals).  Stops when every leading entry's summed error
-    meets abs_tol; splits at most max_subdivisions panels per owner."""
+    meets abs_tol; splits at most MAX_SUBDIVISIONS panels per owner."""
     lo, hi = edges[:-1], edges[1:]
     tol = settings.abs_tol
     values, errors = _rule(fn, lo, hi)
@@ -97,9 +98,9 @@ def _adaptive(fn: Callable, edges: np.ndarray, owner: np.ndarray, integrals: int
         order = np.argsort(share)[::-1]
         rest = np.cumsum(share[order][::-1])[::-1]
         split = order[:max(1, int(np.count_nonzero(rest > 0.5)))]
-        if np.bincount(np.append(owner, owner[split])).max() > settings.max_subdivisions:
+        if np.bincount(np.append(owner, owner[split])).max() > MAX_SUBDIVISIONS:
             raise QuadratureError(
-                f"quadrature did not converge within {settings.max_subdivisions} panels: "
+                f"quadrature did not converge within {MAX_SUBDIVISIONS} panels: "
                 f"achieved {np.max(achieved):.3e}, requested {tol:.3e}")
         mid = 0.5 * (lo[split] + hi[split])
         new_values, new_errors = _rule(fn, np.append(lo[split], mid), np.append(mid, hi[split]))
@@ -123,7 +124,7 @@ def integrate(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
     one subdivision and return an array over them.  breakpoints lists
     interior points where the integrand has kinks or jumps; the first
     panels end there.  Raises QuadratureError when the summed error
-    estimate cannot meet the tolerance within max_subdivisions panels.
+    estimate cannot meet the tolerance within MAX_SUBDIVISIONS panels.
     """
     if hi <= lo:
         return 0.0
@@ -139,7 +140,7 @@ def integrate_pieces(fn: Callable[[np.ndarray], np.ndarray], edges: np.ndarray,
 
     The error budget is shared by all pieces, so every partial sum of the
     result (an antiderivative at the edges) meets the tolerance; each
-    piece may be split into at most max_subdivisions panels.
+    piece may be split into at most MAX_SUBDIVISIONS panels.
     """
     edges = np.asarray(edges, dtype=float)
     return _adaptive(fn, edges, np.arange(edges.size - 1), edges.size - 1, settings)

@@ -37,7 +37,7 @@ from takayama.indices import IndexValue, takayama_empirical, takayama_population
 from takayama.io import RunConfig
 from takayama.montecarlo import (TARGET_TAKAYAMA, ReplicateRecords, _replicate_rng,
                                  population_truth)
-from takayama.quadrature import QuadratureSettings
+from takayama.quadrature import MAX_SUBDIVISIONS, QuadratureSettings
 from takayama.samples import IncomeSample, build_empirical
 
 
@@ -638,7 +638,7 @@ def _quad(fn, lo: float, hi: float, settings: QuadratureSettings, breakpoints=()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
         value, abserr = quad(fn, lo, hi, epsabs=max(settings.abs_tol, 1e-14),
-                             epsrel=0, limit=settings.max_subdivisions,
+                             epsrel=0, limit=MAX_SUBDIVISIONS,
                              points=pts if pts else None)
     if abserr > settings.abs_tol:
         raise QuadratureError(f"quadrature did not converge: achieved {abserr:.3e}, "

@@ -133,7 +133,7 @@ def test_criterion_6_normality_and_coverage():
                            replicate_count=1000, seed=66, config=CFG1)
     records = run_replicates(study, threads=2)
     deviations = records.scaled_deviations(2000)
-    ks = ks_normality(deviations, alpha=0.01)
+    ks = ks_normality(deviations)
     coverage = records.coverage()
     _report("6 normality and coverage",
             ks.passed and 0.93 <= coverage <= 0.97,

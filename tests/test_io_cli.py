@@ -74,6 +74,23 @@ def test_ingest_missing_column(tmp_path):
         ingest_csv(str(path), RunConfig(group_column="region"))
 
 
+def test_ingest_skips_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbfincome,region\n1,a\n2,b\n")
+    sample = ingest_csv(str(path), RunConfig(group_column="region"))
+    assert sample.values.tolist() == [1.0, 2.0]
+    assert sample.group_labels.tolist() == ["a", "b"]
+
+
+def test_ingest_skips_a_byte_order_mark_with_a_short_row(tmp_path):
+    # A row lacking a needed field sends ingest to its csv fallback, which
+    # re-reads the file from the start.
+    path = tmp_path / "bom_short.csv"
+    path.write_bytes(b"\xef\xbb\xbfincome,region\n3,a\n4\n")
+    with pytest.raises(DataFormatError, match="row 2: empty group label"):
+        ingest_csv(str(path), RunConfig(group_column="region"))
+
+
 def test_ingest_empty_inputs(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("", encoding="utf-8")
@@ -226,13 +243,13 @@ def test_run_config_rejects_unknown_keys():
 
 
 def test_run_config_validation():
-    with pytest.raises(DataFormatError):
-        RunConfig(poverty_line=-2.0)
-    with pytest.raises(DataFormatError):
-        RunConfig(confidence_level=2.0)
+    with pytest.raises(ValueError, match="poverty line"):
+        RunConfig(poverty_line=-2.0).poverty()
+    with pytest.raises(ValueError, match="confidence level"):
+        RunConfig(poverty_line=1.0, confidence_level=2.0).poverty()
     for tol in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(DataFormatError, match="quadrature tolerance"):
-            RunConfig(quad_tol=tol)
+        with pytest.raises(ValueError, match="quadrature tolerance"):
+            RunConfig(poverty_line=1.0, quad_tol=tol).poverty()
 
 
 def _index_report():
@@ -343,6 +360,17 @@ def test_cli_degenerate_sample_is_numerical_failure(tmp_path):
     path = tmp_path / "zeros.csv"
     path.write_text("income\n0\n0\n", encoding="utf-8")
     assert cli_dispatch(["index", "--input", str(path), "--poverty-line", "2"]) == 3
+
+
+def test_cli_degenerate_subgroup_is_named(tmp_path, capsys):
+    path = tmp_path / "zero_region.csv"
+    path.write_text("income,region\n0,north\n0,north\n1,south\n2,south\n",
+                    encoding="utf-8")
+    argv = ["decompose", "--input", str(path), "--group-column", "region",
+            "--poverty-line", "1.5"]
+    assert cli_dispatch(argv) == 3
+    err = capsys.readouterr().err
+    assert "'north'" in err and "degenerate sample mean" in err
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])

@@ -8,7 +8,7 @@ from takayama import (AnalyticDistribution, IncomeSample, PovertyConfig,
                       ReplicateStudy, bootstrap_variance, build_empirical,
                       draw_mixture_sample, exponential, ks_normality, lognormal,
                       mixture, population_truth, run_replicates, sigma_plugin,
-                      takayama_empirical, uniform)
+                      takayama_empirical, takayama_rows, uniform)
 from takayama import asymptotics, montecarlo
 from takayama.asymptotics import influence_rows, plugin_rows
 from takayama.montecarlo import CHUNK_ELEMENTS, _draw_rows, _replicate_rng
@@ -255,10 +255,11 @@ def test_plugin_rows_match_one_row_oracles(strict):
     config = PovertyConfig(1.0, strict_comparison=strict)
     rows = _ties_chunk()
     scored = plugin_rows(rows, rows.mean(axis=1), config)
+    index = takayama_rows(rows, rows.mean(axis=1), config)
     for i, row in enumerate(rows):
         dist = build_empirical(IncomeSample(row))
         want = influence_sigma_oracle(dist, config)
-        assert scored.index[i] == pytest.approx(
+        assert index[i] == pytest.approx(
             takayama_empirical_oracle(dist, config).value, rel=1e-12)
         assert scored.sigma1_sq[i] == pytest.approx(want.sigma1_sq, rel=1e-12)
         assert scored.sigma2_sq[i] == pytest.approx(want.sigma2_sq, rel=1e-12)
@@ -266,7 +267,7 @@ def test_plugin_rows_match_one_row_oracles(strict):
         assert scored.total[i] == pytest.approx(want.total, rel=1e-12)
         one = sigma_plugin(dist, config)
         assert one.total == pytest.approx(want.total, rel=1e-12)
-        assert takayama_empirical(dist, config).value == scored.index[i]
+        assert takayama_empirical(dist, config).value == index[i]
 
 
 def test_plugin_rows_no_poor_and_all_poor():
