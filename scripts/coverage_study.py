@@ -9,8 +9,8 @@ import argparse
 
 import numpy as np
 
-from takayama import (PovertyConfig, ReplicateStudy, ks_normality, mixture,
-                      parse_distribution, run_replicates, sigma_analytic)
+from takayama import (PovertyConfig, ReplicateStudy, ks_normality, parse_mixture,
+                      run_replicates, sigma_analytic)
 
 
 def main() -> None:
@@ -23,12 +23,7 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args()
 
-    components = tuple(parse_distribution(spec) for spec in args.model)
-    if args.weights:
-        weights = tuple(float(w) for w in args.weights.split(","))
-    else:
-        weights = tuple(1.0 / len(components) for _ in components)
-    model = mixture(components, weights)
+    model = parse_mixture(args.model, args.weights)
     config = PovertyConfig(args.z)
     analytic_total = sigma_analytic(model, config).total
 

@@ -11,8 +11,7 @@ import argparse
 import numpy as np
 
 from takayama import (PovertyConfig, ReplicateStudy, analytic_partition,
-                      decomposability_gap, gap_variance, mixture, parse_distribution,
-                      run_replicates)
+                      decomposability_gap, gap_variance, parse_mixture, run_replicates)
 
 
 def main() -> None:
@@ -25,12 +24,7 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=11)
     args = parser.parse_args()
 
-    components = tuple(parse_distribution(spec) for spec in args.model)
-    if args.weights:
-        weights = tuple(float(w) for w in args.weights.split(","))
-    else:
-        weights = tuple(1.0 / len(components) for _ in components)
-    model = mixture(components, weights)
+    model = parse_mixture(args.model, args.weights)
     config = PovertyConfig(args.z)
 
     part = analytic_partition([(str(i), law, w) for i, (w, law) in enumerate(model.parts)])

@@ -8,14 +8,14 @@ from .decomposition import (GapEstimate, GapVariance, Subgroup, SubgroupPartitio
                             analytic_partition, decomposability_gap, gap_variance,
                             partition, recompose_interval)
 from .distributions import (AnalyticDistribution, exponential, lognormal,
-                            mixture, pareto, parse_distribution, uniform)
+                            mixture, pareto, parse_distribution, parse_mixture, uniform)
 from .errors import DataFormatError, NumericalError, QuadratureError
 from .indices import (IndexValue, fgt_index, takayama_empirical, takayama_population,
                       takayama_rows)
 from .montecarlo import (KsNormalityResult, ReplicateRecords, ReplicateStudy,
                          bootstrap_variance, draw_mixture_sample, ks_normality,
                          population_truth, run_replicates)
-from .normal import kolmogorov_critical_value, normal_cdf, normal_quantile
+from .normal import normal_cdf, normal_quantile
 from .quadrature import DEFAULT_QUADRATURE, QuadratureSettings, integrate
 from .samples import (EmpiricalDistribution, IncomeSample, PovertyConfig,
                       build_empirical, standardize)
@@ -34,9 +34,9 @@ __all__ = [
     "bootstrap_variance",
     "build_empirical", "confidence_interval", "decomposability_gap",
     "draw_mixture_sample", "exponential", "fgt_index", "gap_variance",
-    "integrate", "kolmogorov_critical_value", "ks_normality",
+    "integrate", "ks_normality",
     "lognormal", "mixture", "normal_cdf", "normal_quantile", "pareto",
-    "parse_distribution", "partition", "plugin_rows",
+    "parse_distribution", "parse_mixture", "partition", "plugin_rows",
     "population_truth",
     "recompose_interval", "representation_residual",
     "run_replicates", "sigma_analytic",

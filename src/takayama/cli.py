@@ -6,19 +6,19 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .asymptotics import confidence_interval, sigma_plugin
 from .decomposition import decomposability_gap, gap_variance, partition, recompose_interval
-from .distributions import mixture, parse_distribution
+from .distributions import parse_mixture
 from .errors import DataFormatError, NumericalError
 from .indices import takayama_empirical
-from .io import CSV, JSON, TEXT, RunConfig, emit_report, ingest_csv, load_report
+from .io import (CSV, JSON, TEXT, RunConfig, emit_report, ingest_csv, load_report,
+                 read_json)
 from .montecarlo import ReplicateStudy, ks_normality, run_replicates
 from .samples import build_empirical
 
@@ -32,21 +32,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(parser: _Parser, with_input: bool = True) -> None:
-    if with_input:
-        parser.add_argument("--input", required=True, help="CSV file of survey rows")
-    parser.add_argument("--poverty-line", type=float, dest="poverty_line")
+def _add_run_options(parser: _Parser, *line_flags: str) -> None:
+    parser.add_argument(*line_flags, type=float, dest="poverty_line")
     parser.add_argument("--confidence-level", type=float, dest="confidence_level")
     parser.add_argument("--strict", action="store_const", const=True, default=None,
                         dest="strict_comparison",
                         help="count only incomes strictly below the line as poor")
-    parser.add_argument("--income-column", dest="income_column")
-    parser.add_argument("--group-column", dest="group_column")
-    parser.add_argument("--adult-equiv-column", dest="adult_equiv_column")
-    parser.add_argument("--quad-tol", type=float, dest="quad_tol")
     parser.add_argument("--config", help="JSON config file; flags win on conflict")
     parser.add_argument("--format", choices=(TEXT, JSON, CSV), default=TEXT)
     parser.add_argument("--output", help="write the report here instead of stdout")
+
+
+def _add_survey_options(parser: _Parser) -> None:
+    parser.add_argument("--input", required=True, help="CSV file of survey rows")
+    parser.add_argument("--income-column", dest="income_column")
+    parser.add_argument("--adult-equiv-column", dest="adult_equiv_column")
 
 
 def _build_parser() -> _Parser:
@@ -55,25 +55,27 @@ def _build_parser() -> _Parser:
 
     p_index = sub.add_parser("index", aliases=["variance"],
                              help="index, variance, and CI for one sample")
-    _add_common(p_index)
+    _add_run_options(p_index, "--poverty-line")
+    _add_survey_options(p_index)
+    p_index.set_defaults(build=_index_report)
 
     p_dec = sub.add_parser("decompose", help="per-group indices and the gap")
-    _add_common(p_dec)
+    _add_run_options(p_dec, "--poverty-line")
+    _add_survey_options(p_dec)
+    p_dec.add_argument("--group-column", dest="group_column")
+    p_dec.set_defaults(build=_decompose_report)
 
     p_sim = sub.add_parser("simulate", help="replicate study against a known model")
-    _add_common(p_sim, with_input=False)
+    _add_run_options(p_sim, "--poverty-line", "--z")
+    p_sim.add_argument("--quad-tol", type=float, dest="quad_tol")
     p_sim.add_argument("--model", action="append", required=True,
                        help="family:params, e.g. uniform:0,1 (repeat for a mixture)")
     p_sim.add_argument("--weights", help="comma-separated mixture weights")
-    p_sim.add_argument("--z", type=float, dest="poverty_line_alias",
-                       help="alias for --poverty-line")
     p_sim.add_argument("--n", type=int, dest="sample_size")
     p_sim.add_argument("--reps", type=int, dest="replicates")
     p_sim.add_argument("--seed", type=int, dest="seed")
-    p_sim.add_argument("--threads", type=int, dest="threads",
-                       help="accepted but has no effect: replicates are scored "
-                            "in vectorised chunks on one thread")
     p_sim.add_argument("--target", choices=("takayama", "gap"), default="takayama")
+    p_sim.set_defaults(build=_simulate_report)
 
     p_rep = sub.add_parser("report", help="re-render a saved JSON report")
     p_rep.add_argument("--input", required=True)
@@ -83,20 +85,10 @@ def _build_parser() -> _Parser:
 
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
-    file_values = {}
-    if getattr(args, "config", None):
-        try:
-            with open(args.config, "r", encoding="utf-8") as handle:
-                file_values = json.load(handle)
-        except OSError as exc:
-            raise DataFormatError(f"cannot open {args.config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{args.config}: not valid JSON ({exc})") from exc
-        if not isinstance(file_values, dict):
-            raise DataFormatError(f"{args.config}: config must be a JSON object")
+    file_values = read_json(args.config) if args.config else {}
+    if not isinstance(file_values, dict):
+        raise DataFormatError(f"{args.config}: config must be a JSON object")
     flag_values = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
-    if getattr(args, "poverty_line_alias", None) is not None:
-        flag_values["poverty_line"] = args.poverty_line_alias
     return RunConfig.merged(file_values, flag_values)
 
 
@@ -111,7 +103,7 @@ def _emit(args: argparse.Namespace, report: dict) -> None:
 
 def _index_report(args: argparse.Namespace, run: RunConfig) -> dict:
     config = run.poverty()
-    sample = ingest_csv(args.input, run)
+    sample = ingest_csv(args.input, replace(run, group_column=None))
     dist = build_empirical(sample)
     index = takayama_empirical(dist, config)
     decomp = sigma_plugin(dist, config)
@@ -167,15 +159,10 @@ def _decompose_report(args: argparse.Namespace, run: RunConfig) -> dict:
 
 
 def _simulate_report(args: argparse.Namespace, run: RunConfig) -> dict:
-    components = [parse_distribution(spec) for spec in args.model]
-    if args.weights:
-        weights = [float(tok) for tok in args.weights.split(",")]
-    else:
-        weights = [1.0 / len(components)] * len(components)
-    model = mixture(components, weights)
+    model = parse_mixture(args.model, args.weights)
     config = run.poverty()
     study = ReplicateStudy(model, run.sample_size, run.replicates, run.seed, config)
-    records = run_replicates(study, target=args.target, threads=run.threads)
+    records = run_replicates(study, target=args.target)
     deviations = records.scaled_deviations(run.sample_size)
     ks = (ks_normality(deviations) if deviations.size >= 100 else None)
     return {
@@ -209,17 +196,8 @@ def cli_dispatch(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(list(argv) if argv is not None else None)
         if args.command == "report":
             report = load_report(args.input)
-            _emit(args, report)
-            return 0
-        run = _run_config(args)
-        if args.command in ("index", "variance"):
-            report = _index_report(args, run)
-        elif args.command == "decompose":
-            report = _decompose_report(args, run)
-        elif args.command == "simulate":
-            report = _simulate_report(args, run)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise UsageError(f"unknown command {args.command!r}")
+        else:
+            report = args.build(args, _run_config(args))
         _emit(args, report)
         return 0
     except UsageError as exc:

@@ -224,7 +224,18 @@ def parse_distribution(spec: str) -> AnalyticDistribution:
     return factory(*args)
 
 
+def parse_mixture(specs: Sequence[str], weights: Optional[str]) -> AnalyticDistribution:
+    """The mixture of parse_distribution(spec) over specs, weighted by the
+    comma-separated weights, or equally when weights is None or empty."""
+    components = [parse_distribution(spec) for spec in specs]
+    if weights:
+        shares = [float(tok) for tok in weights.split(",")]
+    else:
+        shares = [1.0 / len(components)] * len(components)
+    return mixture(components, shares)
+
+
 __all__ = [
     "AnalyticDistribution", "uniform", "exponential", "lognormal", "pareto",
-    "mixture", "parse_distribution", "require_finite_second_moment",
+    "mixture", "parse_distribution", "parse_mixture", "require_finite_second_moment",
 ]

@@ -44,13 +44,6 @@ class RunConfig:
     seed: int = 0
     sample_size: int = 2000
     replicates: int = 1000
-    threads: int = 1
-
-    def __post_init__(self):
-        # PovertyConfig, QuadratureSettings and ReplicateStudy check the
-        # other numbers; nothing else checks threads.
-        if self.threads < 1:
-            raise DataFormatError(f"threads must be >= 1, got {self.threads}")
 
     def poverty(self) -> PovertyConfig:
         if self.poverty_line is None:
@@ -304,15 +297,20 @@ def emit_report(report: Mapping, format: str = TEXT) -> bytes:
     raise DataFormatError(f"unknown report kind {kind!r}")
 
 
-def load_report(path: str) -> dict:
-    """Read back a JSON report written by emit_report."""
+def read_json(path: str):
+    """Parse a UTF-8 JSON file; a leading byte-order mark is skipped."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            report = json.load(handle)
+        with open(path, "r", encoding="utf-8-sig") as handle:
+            return json.load(handle)
     except OSError as exc:
         raise DataFormatError(f"cannot open {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: not valid JSON ({exc})") from exc
+
+
+def load_report(path: str) -> dict:
+    """Read back a JSON report written by emit_report."""
+    report = read_json(path)
     if not isinstance(report, dict) or "kind" not in report:
         raise DataFormatError(f"{path}: not a report file (missing 'kind')")
     return report

@@ -33,7 +33,7 @@ from .decomposition import analytic_partition, decomposability_gap, gap_variance
 from .distributions import AnalyticDistribution, require_finite_second_moment
 from .errors import NumericalError
 from .indices import takayama_population, takayama_rows
-from .normal import kolmogorov_critical_value, ndtr
+from .normal import KOLMOGOROV_CRITICAL_99, ndtr
 from .samples import IncomeSample, PovertyConfig, build_empirical, standardize
 
 TARGET_TAKAYAMA = "takayama"
@@ -174,7 +174,6 @@ def run_replicates(study: ReplicateStudy, target: str = TARGET_TAKAYAMA,
     values = np.full(r, np.nan)
     variances = np.full(r, np.nan)
     degenerate = np.zeros(r, dtype=bool)
-    labels = _part_labels(model)
     rows = max(1, CHUNK_ELEMENTS // n)
     for start in range(0, r, rows):
         stop = min(start + rows, r)
@@ -183,7 +182,7 @@ def run_replicates(study: ReplicateStudy, target: str = TARGET_TAKAYAMA,
         if target == TARGET_TAKAYAMA:
             scored = _score_index_rows(drawn, config, compute_variance)
         else:
-            scored = _score_gap_rows(drawn, labels[picks], config, compute_variance)
+            scored = _score_gap_rows(drawn, picks, config, compute_variance)
         values[start:stop], variances[start:stop], degenerate[start:stop] = scored
 
     ci_hits = np.zeros(r, dtype=bool)
@@ -221,16 +220,17 @@ def _score_index_rows(drawn: np.ndarray, config: PovertyConfig, compute_variance
     return values, variances, degenerate
 
 
-def _score_gap_rows(drawn: np.ndarray, labels: np.ndarray, config: PovertyConfig,
+def _score_gap_rows(drawn: np.ndarray, picks: np.ndarray, config: PovertyConfig,
                     compute_variance: bool):
     """Decomposability gap and its variance of each drawn row, one row at a
-    time, as (values, variances, degenerate)."""
+    time, as (values, variances, degenerate); row i's groups are its drawn
+    part indices picks[i], which partition labels "0", "1", ..."""
     values = np.full(len(drawn), np.nan)
     variances = np.full(len(drawn), np.nan)
     degenerate = np.zeros(len(drawn), dtype=bool)
-    for i, (row, row_labels) in enumerate(zip(drawn, labels)):
+    for i, (row, row_picks) in enumerate(zip(drawn, picks)):
         try:
-            part = partition(IncomeSample(row, group_labels=row_labels))
+            part = partition(IncomeSample(row, group_labels=row_picks))
             values[i] = decomposability_gap(part, config).gap
             if compute_variance:
                 variances[i] = gap_variance(part, config).gap_centered_total
@@ -272,10 +272,6 @@ def bootstrap_variance(sample: Union[IncomeSample, Sequence[float], np.ndarray],
     return n * float(stats.var(ddof=1))
 
 
-# Level of the normality test.
-KS_ALPHA = 0.01
-
-
 @dataclass(frozen=True)
 class KsNormalityResult:
     statistic: float
@@ -285,7 +281,7 @@ class KsNormalityResult:
 
 def ks_normality(values: Sequence[float] | np.ndarray) -> KsNormalityResult:
     """One-sample Kolmogorov-Smirnov test of standardized values against the
-    standard normal at level KS_ALPHA, with the asymptotic critical value.
+    standard normal at level 0.01, with the asymptotic critical value.
 
     Values are standardized by their own mean and standard deviation first;
     a zero standard deviation fails the test outright.
@@ -294,7 +290,7 @@ def ks_normality(values: Sequence[float] | np.ndarray) -> KsNormalityResult:
     n = arr.size
     if n < 100:
         raise ValueError(f"at least 100 values required, got {n}")
-    critical = kolmogorov_critical_value(KS_ALPHA, n)
+    critical = KOLMOGOROV_CRITICAL_99 / math.sqrt(n)
     try:
         z = np.sort(standardize(arr))
     except NumericalError:

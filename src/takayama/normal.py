@@ -17,6 +17,12 @@ import numpy as np
 _SQRT2 = math.sqrt(2.0)
 _erfc = np.frompyfunc(math.erfc, 1, 1)
 
+# The 0.99 quantile of the Kolmogorov distribution (the limit law of
+# sqrt(n) times the one-sample KS statistic): the root of
+# 1 - 2 sum_k (-1)^(k-1) exp(-2 k^2 x^2) = 0.99, found by bisecting the
+# series; scipy.stats.kstwobign.ppf(0.99) agrees within 1e-15 relative.
+KOLMOGOROV_CRITICAL_99 = 1.6276236115189495
+
 # AS241 coefficients, highest power first: the central branch |p - 1/2| <=
 # 0.425 in r = 0.180625 - (p - 1/2)^2, then the tail in r = sqrt(-log
 # min(p, 1 - p)) shifted by 1.6 (r <= 5) or by 5 (far tail).
@@ -108,33 +114,3 @@ def normal_quantile(p: float) -> float:
     if not 0.0 < p < 1.0:
         raise ValueError(f"normal quantile argument must lie in (0, 1), got {p}")
     return float(ndtri(p))
-
-
-def kolmogorov_cdf(x: float) -> float:
-    """Asymptotic CDF of the scaled Kolmogorov-Smirnov statistic, from at
-    most 100 terms of its alternating series."""
-    if x <= 0.0:
-        return 0.0
-    total = 0.0
-    for k in range(1, 101):
-        term = math.exp(-2.0 * k * k * x * x)
-        total += -term if k % 2 == 0 else term
-        if term < 1e-18:
-            break
-    return max(0.0, 1.0 - 2.0 * total)
-
-
-def kolmogorov_critical_value(alpha: float, n: int) -> float:
-    """Critical value for the one-sample KS statistic at level alpha,
-    from the asymptotic distribution: solve K(x) = 1 - alpha, rescale by sqrt(n)."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    lo, hi = 1e-3, 5.0
-    target = 1.0 - alpha
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if kolmogorov_cdf(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi) / math.sqrt(n)

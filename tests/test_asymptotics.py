@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from takayama import (AnalyticDistribution, IncomeSample,
                       PovertyConfig, QuadratureSettings, ReplicateStudy,
                       bootstrap_variance, build_empirical, confidence_interval, exponential,
-                      kolmogorov_critical_value, lognormal, mixture, normal_quantile,
+                      lognormal, mixture, normal_quantile,
                       pareto, representation_residual, sigma_analytic, sigma_plugin,
                       uniform)
 from takayama.asymptotics import influence_rows
+from takayama.normal import KOLMOGOROV_CRITICAL_99
 from takayama.population import bind
 
 from _oracles import (bisection_normal_quantile, bridge_cell_integral,
@@ -262,9 +263,9 @@ def test_normal_quantile_inverts_cdf(p):
 
 
 def test_kolmogorov_critical_value_known_constant():
-    # the asymptotic 99th percentile of the scaled KS statistic is ~1.6276
-    assert kolmogorov_critical_value(0.01, 10_000) * 100.0 == pytest.approx(
-        1.6276, abs=2e-4)
+    # the asymptotic 99th percentile of the scaled KS statistic
+    from scipy.stats import kstwobign
+    assert KOLMOGOROV_CRITICAL_99 == pytest.approx(kstwobign.ppf(0.99), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import takayama
 from takayama import DataFormatError
-from takayama.cli import cli_dispatch
+from takayama.cli import _build_parser, cli_dispatch
 from takayama.io import CSV, JSON, TEXT, RunConfig, emit_report, ingest_csv
 
 from _oracles import ingest_csv_rowwise_oracle
@@ -324,6 +325,35 @@ def test_cli_decompose_without_group_column(survey_csv):
                          "--poverty-line", "4.5"]) == 1
 
 
+def test_each_command_takes_only_the_options_it_reads(survey_csv):
+    # A new option must be added here on purpose: every flag is one the
+    # command reads.
+    run = ["--config", "--confidence-level", "--format", "--output", "--poverty-line",
+           "--strict"]
+    survey = ["--adult-equiv-column", "--income-column", "--input"]
+    expected = {
+        "index": run + survey,
+        "variance": run + survey,
+        "decompose": run + survey + ["--group-column"],
+        "simulate": run + ["--model", "--n", "--quad-tol", "--reps", "--seed", "--target",
+                           "--weights", "--z"],
+        "report": ["--format", "--input", "--output"],
+    }
+    parser = _build_parser()
+    commands = next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    assert {name: sorted(opt for action in command._actions for opt in action.option_strings
+                         if opt not in ("-h", "--help"))
+            for name, command in commands.items()} == {k: sorted(v) for k, v in expected.items()}
+    simulate = ["simulate", "--model", "uniform:0,1", "--n", "50", "--reps", "5"]
+    assert cli_dispatch([*simulate, "--z", "1", "--threads", "2"]) == 1
+    assert cli_dispatch(["index", "--input", survey_csv, "--poverty-line", "4.5",
+                         "--group-column", "region"]) == 1
+    # --z and --poverty-line are one setting; the last one given wins.
+    assert parser.parse_args([*simulate, "--z", "1", "--poverty-line", "2"]).poverty_line == 2
+    assert parser.parse_args([*simulate, "--poverty-line", "2", "--z", "1"]).poverty_line == 1
+
+
 def test_cli_unknown_flag_is_usage_error(survey_csv):
     assert cli_dispatch(["index", "--input", survey_csv, "--nope"]) == 1
 
@@ -451,6 +481,26 @@ def test_cli_config_file_takes_an_int_line_and_a_bool_flag(tmp_path, capsys):
     assert "index (%): 100.00" in outputs[1]
 
 
+def test_cli_config_file_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    config_path = tmp_path / "run.json"
+    config_path.write_bytes(b'\xef\xbb\xbf{"seed": 3}')
+    rc = cli_dispatch(["simulate", "--model", "uniform:0,1", "--z", "1", "--n", "50",
+                       "--reps", "5", "--config", str(config_path)])
+    assert rc == 0
+    assert "seed: 3" in capsys.readouterr().out
+
+
+def test_cli_index_ignores_a_config_group_column(tmp_path, capsys):
+    data = tmp_path / "gappy.csv"
+    data.write_text("income,region\n1,north\n2,\n3,south\n", encoding="utf-8")
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps({"group_column": "region"}), encoding="utf-8")
+    rc = cli_dispatch(["index", "--input", str(data), "--poverty-line", "2",
+                       "--config", str(config_path)])
+    assert rc == 0
+    assert "observations: 3" in capsys.readouterr().out
+
+
 def test_cli_output_file_and_report_rerender(survey_csv, tmp_path, capsys):
     out_path = tmp_path / "report.json"
     rc = cli_dispatch(["index", "--input", survey_csv, "--poverty-line", "4.5",
@@ -461,6 +511,15 @@ def test_cli_output_file_and_report_rerender(survey_csv, tmp_path, capsys):
 
     rc = cli_dispatch(["report", "--input", str(out_path), "--format", "text"])
     assert rc == 0
+    assert "Takayama index report" in capsys.readouterr().out
+
+
+def test_cli_report_reads_a_report_with_a_byte_order_mark(survey_csv, tmp_path, capsys):
+    out_path = tmp_path / "report.json"
+    assert cli_dispatch(["index", "--input", survey_csv, "--poverty-line", "4.5",
+                         "--format", "json", "--output", str(out_path)]) == 0
+    out_path.write_bytes(b"\xef\xbb\xbf" + out_path.read_bytes())
+    assert cli_dispatch(["report", "--input", str(out_path)]) == 0
     assert "Takayama index report" in capsys.readouterr().out
 
 
