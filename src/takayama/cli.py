@@ -20,6 +20,7 @@ from .indices import takayama_empirical
 from .io import (CSV, JSON, TEXT, RunConfig, emit_report, ingest_csv, load_report,
                  read_json)
 from .montecarlo import ReplicateStudy, ks_normality, run_replicates
+from .quadrature import QuadratureSettings
 from .samples import build_empirical
 
 
@@ -160,7 +161,7 @@ def _decompose_report(args: argparse.Namespace, run: RunConfig) -> dict:
 
 def _simulate_report(args: argparse.Namespace, run: RunConfig) -> dict:
     model = parse_mixture(args.model, args.weights)
-    config = run.poverty()
+    config = replace(run.poverty(), quadrature=QuadratureSettings(run.quad_tol))
     study = ReplicateStudy(model, run.sample_size, run.replicates, run.seed, config)
     records = run_replicates(study, target=args.target)
     deviations = records.scaled_deviations(run.sample_size)

@@ -20,17 +20,19 @@ same construction without the index functional term.
 Both partition kinds skip the seven components: each income x of group h
 gets the influence value a_h(x) = phi_pool(x) - phi_h(x), where
 phi = g - (B - E B) and B(x) is the integral of q over incomes at and above
-x.  Then theta1^2 is sum_h p_h Var_h(a_h), and the per-group scalars are
-E_h a_h.  Empirical subgroups read g and B from the plug-in variance's
-core (asymptotics.influence_rows), once for the pooled sample and once
-per group, in O(n log n) for any K; analytic subgroups integrate
-a_h and a_h^2 over each component's quantile (population.gap_influence).
+x.  Both routes return each group's (E_h a_h, Var_h a_h), and
+gap_variance alone assembles theta1^2 = sum_h p_h Var_h(a_h) and the
+per-group scalars E_h a_h.  Empirical subgroups read g and B from the
+plug-in variance's core (asymptotics.influence_rows), once for the pooled
+sample and once per group, in O(n log n) for any K; analytic subgroups
+integrate a_h and a_h^2 over each component's quantile
+(population.gap_moments).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -38,7 +40,7 @@ from .asymptotics import ConfidenceInterval, influence_rows
 from .distributions import AnalyticDistribution, mixture
 from .errors import NumericalError
 from .indices import takayama_empirical, takayama_population
-from .population import gap_influence
+from .population import gap_moments
 from .samples import (EmpiricalDistribution, IncomeSample, PovertyConfig,
                       build_empirical)
 
@@ -105,8 +107,6 @@ def partition(sample: IncomeSample) -> SubgroupPartition:
     """
     if sample.group_labels is None:
         raise ValueError("sample carries no group labels")
-    if sample.size == 0:
-        raise ValueError("empty sample")
     values = sample.scaled_values()
     codes: dict = {}
     group_of = np.fromiter((codes.setdefault(lab, len(codes))
@@ -171,15 +171,13 @@ def decomposability_gap(part: SubgroupPartition, config: PovertyConfig) -> GapEs
 class GapVariance:
     """Theorem-level variance pieces for the decomposability gap.
 
-    Both routes take theta1^2 as a weighted sum of within-group variances
-    of influence values a_h = phi_pool - phi_h, and the per-group scalars
-    as E_h a_h (gap_scalars subtract the group's own index).
+    theta1^2 is the within-group part of the gap's influence; theta2^2
+    and theta3^2 are between-group variances of per-group scalars (see
+    gap_variance).
     """
     theta1_sq: float
     theta2_sq: float
     theta3_sq: float
-    gap_scalars: Tuple[float, ...]
-    mean_scalars: Tuple[float, ...]
 
     def __post_init__(self):
         for name, value in (("theta1_sq", self.theta1_sq),
@@ -207,21 +205,19 @@ def _phi(dist: EmpiricalDistribution, config: PovertyConfig) -> np.ndarray:
     return g[0] - (b[0] - b[0].mean())
 
 
-def _empirical_gap_influence(part: SubgroupPartition,
-                             config: PovertyConfig) -> Tuple[float, list]:
-    # For x in group h the gap's influence is a_h(x) - (T_h - sum_i p_i T_i)
-    # with a_h = phi_pool - phi_h; theta1^2 is its within-group part.  Tied
-    # values share one phi_pool, so any position of x in the pooled sample
-    # reads it.
+def _empirical_gap_moments(part: SubgroupPartition,
+                           config: PovertyConfig) -> List[Tuple[float, float]]:
+    """(E_h a_h, Var_h a_h) of each group h over its observations.  Tied
+    values share one phi_pool, so any position of x in the pooled sample
+    reads it."""
     pooled = part.pooled.sorted_values
     phi_pool = _phi(part.pooled, config)
-    theta1, mean_scalars = 0.0, []
-    for weight, grp in zip(part.weights, part.groups):
+    moments = []
+    for grp in part.groups:
         x = grp.dist.sorted_values
         a = phi_pool[np.searchsorted(pooled, x)] - _phi(grp.dist, config)
-        theta1 += weight * float(a.var())
-        mean_scalars.append(float(a.mean()))
-    return theta1, mean_scalars
+        moments.append((float(a.mean()), float(a.var())))
+    return moments
 
 
 def _weighted_variance(values: Sequence[float], weights: np.ndarray) -> float:
@@ -232,23 +228,24 @@ def _weighted_variance(values: Sequence[float], weights: np.ndarray) -> float:
 
 
 def gap_variance(part: SubgroupPartition, config: PovertyConfig) -> GapVariance:
-    """The three thetas and the per-group scalars, on the empirical or the
-    analytic route by the partition kind.
+    """The three thetas from each group's (E_h a_h, Var_h a_h), on the
+    empirical or the analytic route by the partition kind.
 
-    The gap scalars subtract each group's own Takayama index (empirical or
-    population, matching the partition kind) from its mean scalar.
+    theta3^2 is the weighted variance of the E_h a_h, and theta2^2 that of
+    E_h a_h - T_h, with T_h the group's own index (empirical or population,
+    matching the partition kind).
     """
     if part.is_empirical:
-        theta1, mean_scalars = _empirical_gap_influence(part, config)
+        moments = _empirical_gap_moments(part, config)
     else:
-        theta1, mean_scalars = gap_influence([g.dist for g in part.groups], part.weights,
-                                             part.pooled.mean, config)
-    gap_scalars = [m_h - _index(g.dist, config)
-                   for m_h, g in zip(mean_scalars, part.groups)]
-    p = part.weights
-    return GapVariance(theta1, _weighted_variance(gap_scalars, p),
-                       _weighted_variance(mean_scalars, p),
-                       tuple(gap_scalars), tuple(mean_scalars))
+        moments = gap_moments([g.dist for g in part.groups], part.weights, config)
+    theta1 = 0.0
+    for p_h, (_, var) in zip(part.weights, moments):
+        theta1 += float(p_h * var)
+    means = [mean for mean, _ in moments]
+    scalars = [m_h - _index(g.dist, config) for m_h, g in zip(means, part.groups)]
+    return GapVariance(theta1, _weighted_variance(scalars, part.weights),
+                       _weighted_variance(means, part.weights))
 
 
 def recompose_interval(weighted_local_sum: float,

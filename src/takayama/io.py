@@ -22,7 +22,6 @@ from typing import Mapping, Optional, Sequence, get_args, get_type_hints
 import numpy as np
 
 from .errors import DataFormatError
-from .quadrature import QuadratureSettings
 from .samples import IncomeSample, PovertyConfig
 
 TEXT = "text"
@@ -46,10 +45,12 @@ class RunConfig:
     replicates: int = 1000
 
     def poverty(self) -> PovertyConfig:
+        """The run's PovertyConfig, with the default quadrature: quad_tol is
+        read only by the commands that integrate (simulate)."""
         if self.poverty_line is None:
             raise DataFormatError("a poverty line is required")
         return PovertyConfig(self.poverty_line, self.confidence_level,
-                             self.strict_comparison, QuadratureSettings(abs_tol=self.quad_tol))
+                             self.strict_comparison)
 
     @classmethod
     def merged(cls, file_values: Mapping, flag_values: Mapping) -> "RunConfig":

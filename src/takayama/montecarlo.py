@@ -161,8 +161,6 @@ def run_replicates(study: ReplicateStudy, target: str = TARGET_TAKAYAMA,
     model of at least two parts.  `threads` is accepted for
     compatibility and has no effect (see the module notes).
     """
-    if target not in (TARGET_TAKAYAMA, TARGET_GAP):
-        raise ValueError(f"unknown study target {target!r}")
     model = study.model
     if target == TARGET_GAP and len(model.parts) < 2:
         raise ValueError("gap studies need a mixture with at least two components")

@@ -13,7 +13,8 @@ integrate_pieces call and a cumulative sum.  Above the line g is linear and
 B = 0, so the tails come in closed form from each component's mean and
 second moment.  T = 1 - 2 P(h) / mu, and the variances are moments of the
 influence function phi = g - (B - E B): sigma1^2 = Var g, sigma2^2 = Var B,
-sigma12 = -Cov(g, B), and theta1^2 = sum_h p_h Var_h(phi_pool - phi_h).
+sigma12 = -Cov(g, B), and the gap variance reads E_h a_h and Var_h a_h of
+a_h = phi_pool - phi_h in each group h.
 Integrands in u kink where Q_k(u) crosses another component's support end,
 so F_k at those ends are breakpoints.  Integrals run to the tolerance of
 PovertyConfig.quadrature, and those feeding other integrands to a tenth.
@@ -26,7 +27,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .distributions import AnalyticDistribution
+from .distributions import AnalyticDistribution, mixture
 from .quadrature import QuadratureSettings, integrate, integrate_pieces
 from .samples import PovertyConfig
 
@@ -146,22 +147,17 @@ def influence_variances(law: Law) -> Tuple[float, float, float]:
     return float(e_g2 - e_g ** 2), float(e_b2 - e_b ** 2), float(e_g * e_b - e_gb)
 
 
-def gap_influence(groups: Sequence[AnalyticDistribution], weights: np.ndarray,
-                  pooled_mean: float, config: PovertyConfig) -> Tuple[float, List[float]]:
-    """theta1^2 = sum_h p_h Var_h(a_h) with a_h = phi_pool - phi_h, and the
-    per-group scalars E_h a_h, for the pooled law sum_h p_h F_h."""
-    parts = [dist.parts for dist in groups]
-    position = {law: j for j, law in enumerate(dict.fromkeys(
-        law for group in parts for _, law in group))}
-    comps = Components(list(position), config)
-    w = np.zeros((len(groups), len(position)))
-    for h, group in enumerate(parts):
-        for q, law in group:
-            w[h, position[law]] += q
-    pool = Law(comps, weights @ w, pooled_mean)
-
-    theta1, moments = 0.0, []
-    for p_h, dist, w_h in zip(weights, groups, w):
+def gap_moments(groups: Sequence[AnalyticDistribution], weights: np.ndarray,
+                config: PovertyConfig) -> List[Tuple[float, float]]:
+    """(E_h a_h, Var_h a_h) with a_h = phi_pool - phi_h for each group h of
+    the pooled law sum_h p_h F_h, whose parts mixture lays out group by
+    group: group h weighs only its own block of the pooled components."""
+    pool = bind(mixture(groups, weights), config)
+    comps, raw = pool.comps, []
+    ends = np.cumsum([len(dist.parts) for dist in groups])
+    for dist, end in zip(groups, ends):
+        w_h = np.zeros(ends[-1])
+        w_h[end - len(dist.parts):end] = [q for q, _ in dist.parts]
         own = Law(comps, w_h, dist.mean)
         slope = pool.slope - own.slope
 
@@ -172,11 +168,9 @@ def gap_influence(groups: Sequence[AnalyticDistribution], weights: np.ndarray,
             a = pool.g(x, cdfs) - own.g(x, cdfs) - (b_pool - b_own)
             return np.stack([a, a * a, b_pool, b_own])
 
-        e_a, e_a2, e_b_pool, e_b_own = own.expect(
-            head, lambda tail_q, tail_q2, slope=slope: np.array(
-                [slope * tail_q, slope ** 2 * tail_q2, 0.0, 0.0]))
-        theta1 += float(p_h * (e_a2 - e_a ** 2))
-        moments.append((e_a, e_b_pool, e_b_own))
+        raw.append(own.expect(head, lambda tail_q, tail_q2, slope=slope: np.array(
+            [slope * tail_q, slope ** 2 * tail_q2, 0.0, 0.0])))
     # a_h carries E_pool B_pool - E_h B_h on top of the centred kernels.
-    pool_bridge = sum(p_h * e_b_pool for p_h, (_, e_b_pool, _) in zip(weights, moments))
-    return theta1, [float(e_a - e_b_own + pool_bridge) for e_a, _, e_b_own in moments]
+    pool_bridge = sum(p_h * e_b_pool for p_h, (_, _, e_b_pool, _) in zip(weights, raw))
+    return [(float(e_a - e_b_own + pool_bridge), float(e_a2 - e_a ** 2))
+            for e_a, e_a2, _, e_b_own in raw]

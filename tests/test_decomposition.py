@@ -11,7 +11,7 @@ from takayama import (ConfidenceInterval, EmpiricalDistribution, GapVariance,
                       Subgroup, analytic_partition, build_empirical,
                       decomposability_gap, decomposition, draw_mixture_sample,
                       exponential, fgt_index, gap_variance, lognormal, mixture,
-                      pareto, partition, recompose_interval, uniform)
+                      pareto, partition, population, recompose_interval, uniform)
 
 from _oracles import (GapComponents, brentq_quantile, brute_force_gap_thetas,
                       cell_sum_gap_variance_oracle, gap_variance_influence_oracle,
@@ -76,6 +76,11 @@ def test_partition_one_pass_pins_order_sizes_and_values():
         assert group.weight == members.size / values.size
         assert group.dist.sorted_values.tolist() == np.sort(members).tolist()
     assert part.pooled.sorted_values.tolist() == np.sort(values).tolist()
+
+
+def test_partition_rejects_an_empty_sample():
+    with pytest.raises(ValueError, match="^empty sample$"):
+        partition(IncomeSample([], group_labels=np.array([], dtype=object)))
 
 
 def test_partition_rejects_nan_label_as_empty_group():
@@ -178,15 +183,18 @@ def test_theta2_is_a_centred_weighted_variance():
     labels = rng.choice(np.array(["a", "b"], dtype=object), 4000)
     part = partition(IncomeSample(values, group_labels=labels))
     variance = gap_variance(part, CFG1)
+    local = decomposability_gap(part, CFG1).local_indices
+    gap_scalars = [m - t for (m, _), t in
+                   zip(decomposition._empirical_gap_moments(part, CFG1), local)]
 
     p = [Fraction(w) for w in part.weights]
-    v = [Fraction(x) for x in variance.gap_scalars]
+    v = [Fraction(x) for x in gap_scalars]
     mean = sum(pi * vi for pi, vi in zip(p, v))
     exact = float(sum(pi * (vi - mean) ** 2 for pi, vi in zip(p, v)))
     assert 1e-11 < exact < 1e-9
     assert variance.theta2_sq == pytest.approx(exact, rel=1e-12, abs=0.0)
-    one_pass = (np.dot(part.weights, np.square(variance.gap_scalars))
-                - np.dot(part.weights, variance.gap_scalars) ** 2)
+    one_pass = (np.dot(part.weights, np.square(gap_scalars))
+                - np.dot(part.weights, gap_scalars) ** 2)
     assert abs(one_pass - exact) > 1e-9 * exact
 
 
@@ -247,8 +255,7 @@ def test_gap_variance_inconsistent_assembly_rejected():
         GapComponents(1, 0, 0, 0, 0, 0, 0, theta1_sq=5.0, theta2_sq=0.0,
                       theta3_sq=0.0, gap_scalars=(0.0,), mean_scalars=(0.0,))
     with pytest.raises(NumericalError, match="inconsistent"):
-        GapVariance(theta1_sq=0.0, theta2_sq=-1.0, theta3_sq=0.0,
-                    gap_scalars=(0.0,), mean_scalars=(0.0,))
+        GapVariance(theta1_sq=0.0, theta2_sq=-1.0, theta3_sq=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -314,15 +321,21 @@ def test_empirical_gap_variance_consistent_with_analytic(rng):
     ana = gap_variance(ana_part, CFG1)
     assert emp.gap_centered_total == pytest.approx(ana.gap_centered_total, rel=0.10)
     assert emp.theta1_sq == pytest.approx(ana.theta1_sq, rel=0.10)
-    # On both routes a gap scalar is the mean scalar less the group's own
-    # index, and theta3^2 is the weighted variance of the mean scalars.
-    for part, gv in ((emp_part, emp), (ana_part, ana)):
+    # On both routes theta1^2 is the weighted sum of the group variances of
+    # a_h, theta3^2 the weighted variance of the means E_h a_h, and theta2^2
+    # that of the gap scalars: the means less each group's own index.
+    emp_moments = decomposition._empirical_gap_moments(emp_part, CFG1)
+    ana_moments = population.gap_moments([law for _, law, _ in groups],
+                                         ana_part.weights, CFG1)
+    for part, gv, moments in ((emp_part, emp, emp_moments), (ana_part, ana, ana_moments)):
         local = decomposability_gap(part, CFG1).local_indices
-        assert gv.gap_scalars == tuple(m - t for m, t in zip(gv.mean_scalars, local))
-        m = np.array(gv.mean_scalars)
-        centred = m - np.dot(part.weights, m)
-        assert gv.theta3_sq == pytest.approx(np.dot(part.weights, centred ** 2),
-                                             rel=1e-12, abs=0.0)
+        m = np.array([mean for mean, _ in moments])
+        var = np.array([v for _, v in moments])
+        assert gv.theta1_sq == pytest.approx(np.dot(part.weights, var), rel=1e-12, abs=0.0)
+        for scalars, theta in ((m, gv.theta3_sq), (m - np.array(local), gv.theta2_sq)):
+            centred = scalars - np.dot(part.weights, scalars)
+            assert theta == pytest.approx(np.dot(part.weights, centred ** 2),
+                                          rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("k", [2, 3, 8])

@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import takayama
-from takayama import DataFormatError
+from takayama import DEFAULT_QUADRATURE, DataFormatError
 from takayama.cli import _build_parser, cli_dispatch
 from takayama.io import CSV, JSON, TEXT, RunConfig, emit_report, ingest_csv
 
@@ -248,9 +248,11 @@ def test_run_config_validation():
         RunConfig(poverty_line=-2.0).poverty()
     with pytest.raises(ValueError, match="confidence level"):
         RunConfig(poverty_line=1.0, confidence_level=2.0).poverty()
+    # quad_tol is read by simulate alone, which checks it there
+    # (test_cli_quad_tol_must_be_positive_and_finite).
     for tol in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="quadrature tolerance"):
-            RunConfig(poverty_line=1.0, quad_tol=tol).poverty()
+        config = RunConfig(poverty_line=1.0, quad_tol=tol).poverty()
+        assert config.quadrature == DEFAULT_QUADRATURE
 
 
 def _index_report():
@@ -499,6 +501,20 @@ def test_cli_index_ignores_a_config_group_column(tmp_path, capsys):
                        "--config", str(config_path)])
     assert rc == 0
     assert "observations: 3" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["index", "decompose"])
+def test_cli_index_and_decompose_ignore_a_config_quad_tol(command, survey_csv, tmp_path,
+                                                          capsys):
+    config_path = tmp_path / "qt.json"
+    config_path.write_text(json.dumps({"quad_tol": 0}), encoding="utf-8")
+    argv = [command, "--input", survey_csv, "--poverty-line", "8"]
+    if command == "decompose":
+        argv += ["--group-column", "region"]
+    assert cli_dispatch(argv) == 0
+    plain = capsys.readouterr().out
+    assert cli_dispatch(argv + ["--config", str(config_path)]) == 0
+    assert capsys.readouterr().out == plain
 
 
 def test_cli_output_file_and_report_rerender(survey_csv, tmp_path, capsys):

@@ -174,6 +174,13 @@ def test_population_truth_unknown_target():
         population_truth(uniform(0.0, 1.0), CFG1, "mean")
 
 
+def test_run_replicates_unknown_target():
+    model = mixture([uniform(0.0, 1.0), exponential(1.0)], [0.5, 0.5])
+    study = ReplicateStudy(model, sample_size=50, replicate_count=2, seed=1, config=CFG1)
+    with pytest.raises(ValueError, match="unknown study target 'mean'"):
+        run_replicates(study, target="mean")
+
+
 def test_bootstrap_constant_nonpoor_sample_is_zero():
     values = [3.0] * 200
     assert bootstrap_variance(IncomeSample(values), CFG1, 150, seed=3) == \

@@ -48,6 +48,31 @@ def test_population_functionals_match_nested_oracle(case):
         assert abs(ours - theirs) <= PARITY
 
 
+def test_mixture_group_gap_variance_matches_nested_oracle():
+    # Group "m" is itself a mixture: its law is a block of two of the
+    # pooled components.
+    config = PovertyConfig(1.0)
+    part = analytic_partition([
+        ("m", mixture([exponential(1.0), uniform(0.0, 2.0)], [0.5, 0.5]), 0.6),
+        ("l", lognormal(0.0, 0.8), 0.4)])
+    thetas = gap_variance(part, config)
+    nested = nested_gap_variance_oracle(part, config)
+    assert thetas.theta1_sq > 1e-3
+    assert abs(thetas.theta1_sq - nested.theta1_sq) <= PARITY
+    assert abs(thetas.theta2_sq - nested.theta2_sq) <= PARITY
+    assert abs(thetas.theta3_sq - nested.theta3_sq) <= PARITY
+
+
+def test_groups_sharing_one_law_object_have_vanishing_thetas():
+    # The shared law is a component of the pooled law once per group.
+    law = exponential(1.0)
+    thetas = gap_variance(analytic_partition([("a", law, 0.5), ("b", law, 0.5)]),
+                          PovertyConfig(1.0))
+    assert abs(thetas.theta1_sq) < 1e-12
+    assert abs(thetas.theta2_sq) < 1e-12
+    assert abs(thetas.theta3_sq) < 1e-12
+
+
 @pytest.mark.parametrize("dist", [uniform(0.0, 1.0), uniform(0.5, 3.0), exponential(0.5),
                                   lognormal(0.0, 0.75), pareto(0.25, 3.5)],
                          ids=lambda dist: dist.identifier)
