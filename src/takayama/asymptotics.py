@@ -223,11 +223,11 @@ def representation_residual(rows: np.ndarray, dist: AnalyticDistribution,
     """sqrt(n)(T_n - T) minus its first-order expansion G_n(g) + beta_n, for
     every row of an (m, n) array of samples; a 1-D sample is one row.
 
-    The expansion uses the true kernels of `dist`, with mu, P(h), E g and
-    T = 1 - 2 P(h) / mu from one bound law; beta_n is the exact rank-based
-    sum -(1/sqrt n) sum_i (F_n(X_i) - F(X_i)) q(X_i) with the
-    right-continuous F_n.  The remainders should shrink (in median absolute
-    value) as n grows.
+    The expansion uses the true kernels of `dist`, with mu, P(h) and
+    T = 1 - 2 P(h) / mu from one bound law (E g = 0 for every law); beta_n
+    is the exact rank-based sum -(1/sqrt n) sum_i (F_n(X_i) - F(X_i)) q(X_i)
+    with the right-continuous F_n.  The remainders should shrink (in median
+    absolute value) as n grows.
     """
     x = np.sort(np.atleast_2d(np.asarray(rows, dtype=float)), axis=1)
     n = x.shape[1]
@@ -247,6 +247,6 @@ def representation_residual(rows: np.ndarray, dist: AnalyticDistribution,
 
     root_n = math.sqrt(n)
     t_n = takayama_rows(x, means, config)
-    g_term = root_n * (g.mean(axis=1) - law.mean_g())
+    g_term = root_n * g.mean(axis=1)
     beta = -np.einsum("ij,ij->i", f_n_at - f_at, q) / root_n
     return root_n * (t_n - (1.0 - 2.0 * p_h / mu)) - g_term - beta

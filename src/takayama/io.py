@@ -4,8 +4,10 @@ One fixed CSV dialect: comma-separated, UTF-8 (a leading byte-order mark
 is skipped), mandatory header row, '.' decimal separator.  Fields may be
 quoted with '"' (holding commas, doubled quotes or line breaks);
 whitespace around a value is ignored; blank lines are skipped and do not
-count as rows; no line is a comment.  Ingest parses the needed columns in
-one np.loadtxt pass and validates them with array masks.  Reports
+count as rows; no line is a comment; numbers are read as Python's float()
+reads them.  Ingest reads the needed columns in one typed np.loadtxt pass.
+When that pass fails, one row-by-row re-read names the first bad row, or
+keeps the numbers float() takes and numpy refuses (such as 1_000).  Reports
 serialize deterministically to text (indices as percentages, two
 decimals), JSON (full precision), or tidy CSV (one row per group /
 replicate).
@@ -15,9 +17,10 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
+import math
 import warnings
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, get_args, get_type_hints
+from typing import Mapping, Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -101,90 +104,73 @@ def ingest_csv(path: str, config: RunConfig) -> IncomeSample:
         if equiv_column is None and "adult_equiv" in header:
             equiv_column = "adult_equiv"
 
-        names = [config.income_column, config.group_column, equiv_column]
+        # (key, column index, name in messages) per needed column, in check order.
         # A repeated header name maps to its last column, as in a dict row.
-        usecols = [len(header) - 1 - header[::-1].index(name)
-                   for name in names if name is not None]
+        fields = [(key, len(header) - 1 - header[::-1].index(column), name)
+                  for key, column, name in (("income", config.income_column, "income"),
+                                            ("label", config.group_column, None),
+                                            ("divisor", equiv_column, equiv_column))
+                  if column is not None]
         try:
-            columns = _read_columns(handle, usecols)
-        except csv.Error as exc:
-            raise DataFormatError(f"{path}: unreadable CSV row ({exc})") from exc
-
-    if columns.shape[0] == 0:
+            sample = _read_typed(handle, fields)
+        except ValueError:
+            # Name the first bad row, or accept what float() reads and
+            # numpy's parser does not (such as 1_000).
+            try:
+                sample = _read_rows(handle, fields)
+            except csv.Error as exc:
+                raise DataFormatError(f"{path}: unreadable CSV row ({exc})") from exc
+    if sample.size == 0:
         raise DataFormatError(f"{path}: no data rows")
-    # (row index, check order, message) per check; the least one is raised.
-    # Entries that fail to parse read as NaN, so at that row the range
-    # check also fires, and its later check order lets the parse error win.
-    errors = []
-    incomes, bad = _parse_floats(columns[:, 0])
-    errors.append((bad, 0, "income not numeric"))
-    errors.append((_first(~np.isfinite(incomes) | (incomes < 0)), 1,
-                   "income must be a non-negative number"))
-    labels = divisors = None
-    at = 1  # next column of `columns`
-    if config.group_column is not None:
-        labels = np.array([label.strip() for label in columns[:, at].tolist()],
-                          dtype=object)
-        errors.append((_first(labels == ""), 2, "empty group label"))
-        at += 1
-    if equiv_column is not None:
-        divisors, bad = _parse_floats(columns[:, at])
-        errors.append((bad, 3, f"{equiv_column} not numeric"))
-        errors.append((_first(~np.isfinite(divisors) | (divisors <= 0)), 4,
-                       f"{equiv_column} must be positive"))
-    row, _, message = min(errors)
-    if row < columns.shape[0]:
-        raise DataFormatError(f"row {row + 1}: {message}")
-    return IncomeSample(incomes, group_labels=labels, equivalence_divisors=divisors)
+    return sample
 
 
-def _read_columns(handle, usecols: Sequence[int]) -> np.ndarray:
-    """The data rows' fields at usecols, as an (rows, len(usecols)) array of
-    Python strings.  Blank lines are skipped; quoted fields may hold commas,
-    quotes and newlines; no line is a comment.
-
-    Object dtype, not '<U': loadtxt collects Python strings either way, and
-    sizing them into '<U' (then parsing that) took twice as long.
-    """
+def _read_typed(handle, fields) -> IncomeSample:
+    """The data rows in one np.loadtxt pass: floats for income and divisor,
+    Python strings for the label.  Blank lines are skipped; quoted fields
+    may hold commas, quotes and newlines; no line is a comment.  Raises
+    ValueError on a short row, a value numpy cannot parse or a broken rule."""
     with warnings.catch_warnings():
-        # numpy warns about blank lines and about a file with no data rows.
+        # numpy warns about a file with no data rows.
         warnings.filterwarnings("ignore", message=".*contained no data",
                                 category=UserWarning)
-        try:
-            return np.loadtxt(handle, delimiter=",", quotechar='"', comments=None,
-                              usecols=usecols, dtype=object, ndmin=2)
-        except ValueError:
-            pass
-    # Some row lacks a needed field.  Pad short rows with empty fields, as a
-    # dict row would, so the checks name the first bad row.
+        rows = np.loadtxt(handle, delimiter=",", quotechar='"', comments=None,
+                          usecols=[index for _, index, _ in fields], ndmin=1,
+                          dtype=[(key, object if key == "label" else float)
+                                 for key, _, _ in fields])
+    labels = None
+    if "label" in rows.dtype.names:
+        labels = [label.strip() for label in rows["label"].tolist()]
+        if not all(labels):
+            raise ValueError("empty group label")
+    divisors = rows["divisor"] if "divisor" in rows.dtype.names else None
+    return IncomeSample(rows["income"], group_labels=labels, equivalence_divisors=divisors)
+
+
+def _read_rows(handle, fields) -> IncomeSample:
+    """Re-read the data rows one at a time, each needed field stripped and
+    numbers read with float(): raise at the first row that breaks a rule,
+    else return the sample.  A short row reads as empty fields."""
     handle.seek(0)
     rows = csv.reader(handle)
     next(rows)
-    padded = [[row[c] if c < len(row) else "" for c in usecols] for row in rows if row]
-    return np.array(padded, dtype=object).reshape(len(padded), len(usecols))
-
-
-def _first(mask: np.ndarray) -> int:
-    """Index of the first True entry, or len(mask) when there is none."""
-    return int(np.argmax(mask)) if mask.any() else mask.size
-
-
-def _parse_floats(column: np.ndarray) -> tuple[np.ndarray, int]:
-    """Parse a column of strings with float(), which ignores surrounding
-    whitespace; also return the index of the first entry that is not a
-    number (len(column) when all are).  From that entry on, the values are
-    NaN."""
-    try:
-        return column.astype(float), column.size
-    except ValueError:
-        pass
-    values = np.full(column.size, np.nan)
-    for index, text in enumerate(column.tolist()):
-        try:
-            values[index] = float(text)
-        except ValueError:
-            return values, index
-    return values, column.size
+    columns = {key: [] for key, _, _ in fields}
+    for number, row in enumerate(filter(None, rows), start=1):
+        for key, index, name in fields:
+            text = row[index].strip() if index < len(row) else ""
+            try:
+                value = text if key == "label" else float(text)
+            except ValueError:
+                raise DataFormatError(f"row {number}: {name} not numeric") from None
+            if key == "label" and not value:
+                raise DataFormatError(f"row {number}: empty group label")
+            if key == "income" and not 0 <= value < math.inf:
+                raise DataFormatError(f"row {number}: income must be a non-negative number")
+            if key == "divisor" and not 0 < value < math.inf:
+                raise DataFormatError(f"row {number}: {name} must be positive")
+            columns[key].append(value)
+    return IncomeSample(columns["income"], group_labels=columns.get("label"),
+                        equivalence_divisors=columns.get("divisor"))
 
 
 # ---------------------------------------------------------------------------

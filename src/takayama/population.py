@@ -3,7 +3,8 @@ component's own quantile.
 
 A law is a mixture sum_k w_k F_k of plain laws (a plain law is one
 component), and E f(X) = sum_k w_k int_0^1 f(Q_k(u)) du, so the mixture's
-quantile is never needed.  At a poor income x, with s_k = F_k(Z),
+quantile is never needed.  At a poor income x, with s_k = F_k(Z)
+(F_k(Z-) under strict comparison),
 
     F(x) = sum_k w_k F_k(x),   g(x) = 2 P(h) x / mu^2 - 2 x (1 - F(x)) / mu,
     B(x) = -(2/mu) sum_k w_k int_{F_k(x)}^{s_k} Q_k,
@@ -39,6 +40,9 @@ class Components:
         self.dists = tuple(dists)
         self.quad = config.quadrature
         line = config.poverty_line
+        if config.strict_comparison:
+            # s_k = F_k(Z-): an atom at the line is not poor.
+            line = np.nextafter(line, -np.inf)
         self.s = np.array([float(np.clip(d.cdf(line), 0.0, 1.0)) for d in self.dists])
         ends = np.array(sorted({e for d in self.dists for e in d.support if math.isfinite(e)}))
         self.breaks = [np.asarray(d.cdf(ends), dtype=float) for d in self.dists]
@@ -100,7 +104,6 @@ class Law:
         self.w = np.asarray(weights, dtype=float)
         self.mu = mean
         self.members = [k for k in range(self.w.size) if self.w[k] > 0.0]
-        self.s_poor = float(self.w @ comps.s)
         self.p_h = float(self.expect(lambda k, u, x: x * (1.0 - self.w @ comps.cdfs(k, u, x))))
         self.slope = 2.0 * self.p_h / self.mu ** 2
 
@@ -121,10 +124,6 @@ class Law:
                 part = part + self.comps.head(k, lambda u, x: head(k, u, x))
             total = total + self.w[k] * part
         return total
-
-    def mean_g(self) -> float:
-        return float(self.expect(lambda k, u, x: self.g(x, self.comps.cdfs(k, u, x)),
-                                 lambda tail_q, tail_q2: self.slope * tail_q))
 
 
 def bind(dist: AnalyticDistribution, config: PovertyConfig) -> Law:

@@ -23,7 +23,6 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Tuple
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -205,12 +204,13 @@ def gap_variance_influence_oracle(groups, weights, config,
 class GapComponents:
     """theta1^2 through the paper's seven within- and cross-group
     components, theta1^2 = A1 + A2 + A31 + A32 + 2 (B1 + B2 + B3), with
-    theta2^2, theta3^2 and the per-group scalars.
+    theta2^2 and theta3^2.
 
     B1 and B3 are covariances between the mean-level kernel difference
     (g - g_i) and bridge-integral terms; like sigma12 they inherit a
     leading minus sign from the residual term, and the per-group scalars
-    subtract (not add) the mixed moment E[F_h(X^i) q(X^i)].
+    behind theta2^2 and theta3^2 subtract (not add) the mixed moment
+    E[F_h(X^i) q(X^i)].
     """
     a1: float
     a2: float
@@ -222,8 +222,6 @@ class GapComponents:
     theta1_sq: float
     theta2_sq: float
     theta3_sq: float
-    gap_scalars: Tuple[float, ...]
-    mean_scalars: Tuple[float, ...]
 
     def __post_init__(self):
         assembled = (self.a1 + self.a2 + self.a31 + self.a32
@@ -379,8 +377,7 @@ def cell_sum_gap_variance_oracle(part, config) -> GapComponents:
 
     theta2 = _weighted_variance(gap_scalars, p)
     theta3 = _weighted_variance(mean_scalars, p)
-    return GapComponents(a1, a2, a31, a32, b1, b2, b3, theta1, theta2, theta3,
-                         tuple(gap_scalars), tuple(mean_scalars))
+    return GapComponents(a1, a2, a31, a32, b1, b2, b3, theta1, theta2, theta3)
 
 
 def brute_force_gap_thetas(values, labels, config):
@@ -887,8 +884,7 @@ def nested_gap_variance_oracle(part, config,
 
     theta2 = _weighted_variance(gap_scalars, p)
     theta3 = _weighted_variance(mean_scalars, p)
-    return GapComponents(a1, a2, a31, a32, b1, b2, b3, theta1, theta2, theta3,
-                         tuple(gap_scalars), tuple(mean_scalars))
+    return GapComponents(a1, a2, a31, a32, b1, b2, b3, theta1, theta2, theta3)
 
 
 def sigma2_step_quadrature(nu_values: np.ndarray,

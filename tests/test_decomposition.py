@@ -253,7 +253,7 @@ def test_gap_variance_permutation_invariant(rng):
 def test_gap_variance_inconsistent_assembly_rejected():
     with pytest.raises(NumericalError, match="inconsistent"):
         GapComponents(1, 0, 0, 0, 0, 0, 0, theta1_sq=5.0, theta2_sq=0.0,
-                      theta3_sq=0.0, gap_scalars=(0.0,), mean_scalars=(0.0,))
+                      theta3_sq=0.0)
     with pytest.raises(NumericalError, match="inconsistent"):
         GapVariance(theta1_sq=0.0, theta2_sq=-1.0, theta3_sq=0.0)
 

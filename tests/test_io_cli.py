@@ -172,6 +172,12 @@ PARITY_CASES = {
     "label column is the income column": ("income\n1\n2\n", RunConfig(group_column="income")),
     "headers only": ("income,region\n", REGION),
     "empty file": ("", RunConfig()),
+    # numbers float() reads; numpy's parser refuses the digits, so the re-read keeps them
+    "underscore digits": ("income,adult_equiv\n1_000,1\n2,1_0\n", RunConfig()),
+    "arabic-indic digits": ("income,region\n\u0661\u0662,a\n3,b\n", REGION),
+    "no-break space padding": ("income,region\n\u00a03\u00a0,a\n4,\u00a0b\n", REGION),
+    "re-read numbers rows after blank lines": ("income\n\n1_0\n\n\n2\n\nabc\n3\n",
+                                               RunConfig()),
 }
 
 
@@ -188,7 +194,8 @@ def _numbers():
     formatted = st.one_of(finite.map(repr), finite.map("{:.2f}".format),
                           finite.map("{:e}".format), st.integers(-3, 10**6).map(str))
     return st.one_of(formatted, formatted.map(" {} ".format),
-                     st.sampled_from(["nan", "inf", "", "abc", "1,5"]))
+                     st.sampled_from(["nan", "inf", "", "abc", "1,5", "1_000",
+                                      "\u0661\u0662", "\u00a03\u00a0"]))
 
 
 survey_rows = st.lists(

@@ -140,3 +140,21 @@ def test_unknown_second_moment_takes_the_tail_quadrature():
         assert ours.sigma1_sq == pytest.approx(closed.sigma1_sq, abs=PARITY)
         assert ours.sigma2_sq == closed.sigma2_sq
         assert ours.sigma12 == closed.sigma12
+
+
+def test_strict_comparison_leaves_an_atom_at_the_line_out_of_the_poor():
+    # Atoms at 1 and 2, mass 1/2 each, and Z = 1: under strict comparison
+    # nobody is poor, so T = 1 and the variance vanishes exactly.
+    def cdf(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x >= 2.0, 1.0, np.where(x >= 1.0, 0.5, 0.0))
+
+    def quantile(s):
+        return np.where(np.asarray(s, dtype=float) <= 0.5, 1.0, 2.0)
+
+    atoms = AnalyticDistribution(cdf, quantile, 1.5, "atoms(1,2)", support=(1.0, 2.0),
+                                 second_moment=2.5)
+    strict = PovertyConfig(1.0, strict_comparison=True)
+    assert takayama_population(atoms, strict).value == 1.0
+    assert sigma_analytic(atoms, strict).total == 0.0
+    assert takayama_population(atoms, PovertyConfig(1.0)).value == 0.5

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import takayama
+from takayama.io import RunConfig, ingest_csv
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -87,3 +88,18 @@ def test_benchmark_trace_reads_the_library(operation, tmp_path):
                                "global_index", "local_indices", "weights", "gap",
                                "theta1_sq", "theta2_sq", "theta3_sq", "gap_variance"}
         assert "decomposition.gap_variance" in names
+
+
+def test_benchmark_survey_files_take_the_typed_ingest_pass(tmp_path, monkeypatch):
+    """The survey CSVs of the benchmark hold no value that sends ingest to
+    its row-by-row re-read, for index (no group column) and decompose."""
+    def refuse(handle, fields):
+        raise AssertionError("a benchmark survey file was re-read row by row")
+
+    monkeypatch.setattr(takayama.io, "_read_rows", refuse)
+    path = str(tmp_path / "survey.csv")
+    scaled, labels = _perfbench_module("inputs").write_survey_csv(path, seed=1, n=3000)
+    for config in (RunConfig(), RunConfig(group_column="region")):
+        sample = ingest_csv(path, config)
+        assert sample.scaled_values().tolist() == scaled.tolist()
+    assert sample.group_labels.tolist() == labels.tolist()
