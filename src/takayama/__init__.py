@@ -13,9 +13,8 @@ from .errors import DataFormatError, NumericalError, QuadratureError
 from .indices import (IndexValue, fgt_index, takayama_empirical, takayama_population,
                       takayama_rows)
 from .montecarlo import (KsNormalityResult, ReplicateRecords, ReplicateStudy,
-                         bootstrap_variance, draw_mixture_sample, ks_normality,
-                         population_truth, run_replicates)
-from .normal import normal_cdf, normal_quantile
+                         ks_normality, population_truth, run_replicates)
+from .normal import normal_quantile
 from .quadrature import DEFAULT_QUADRATURE, QuadratureSettings, integrate
 from .samples import (EmpiricalDistribution, IncomeSample, PovertyConfig,
                       build_empirical, standardize)
@@ -31,11 +30,10 @@ __all__ = [
     "QuadratureError", "QuadratureSettings", "ReplicateRecords",
     "ReplicateStudy", "Subgroup", "SubgroupPartition",
     "VarianceDecomposition", "analytic_partition",
-    "bootstrap_variance",
     "build_empirical", "confidence_interval", "decomposability_gap",
-    "draw_mixture_sample", "exponential", "fgt_index", "gap_variance",
+    "exponential", "fgt_index", "gap_variance",
     "integrate", "ks_normality",
-    "lognormal", "mixture", "normal_cdf", "normal_quantile", "pareto",
+    "lognormal", "mixture", "normal_quantile", "pareto",
     "parse_distribution", "parse_mixture", "partition", "plugin_rows",
     "population_truth",
     "recompose_interval", "representation_residual",

@@ -9,8 +9,8 @@ reads them.  Ingest reads the needed columns in one typed np.loadtxt pass.
 When that pass fails, one row-by-row re-read names the first bad row, or
 keeps the numbers float() takes and numpy refuses (such as 1_000).  Reports
 serialize deterministically to text (indices as percentages, two
-decimals), JSON (full precision), or tidy CSV (one row per group /
-replicate).
+decimals), strict JSON (full precision; an undefined value is null), or
+tidy CSV (one row per group / replicate).
 """
 from __future__ import annotations
 
@@ -181,6 +181,11 @@ def _pct(value: float) -> str:
     return f"{100.0 * value:.2f}"
 
 
+def _level(value: float) -> str:
+    """A confidence level as a percentage, unrounded: 0.975 is 97.5%."""
+    return f"{100 * value:g}%"
+
+
 def _text_index(report: Mapping) -> str:
     lines = [
         "Takayama index report",
@@ -190,7 +195,7 @@ def _text_index(report: Mapping) -> str:
         f"variance components: sigma1^2={report['sigma1_sq']:.6g} "
         f"sigma2^2={report['sigma2_sq']:.6g} sigma12={report['sigma12']:.6g}",
         f"total variance: {report['variance']:.6g}",
-        f"{int(round(report['level'] * 100))}% CI: "
+        f"{_level(report['level'])} CI: "
         f"[{report['ci_lower']:.6g}, {report['ci_upper']:.6g}]",
     ]
     return "\n".join(lines) + "\n"
@@ -210,7 +215,7 @@ def _text_decomposition(report: Mapping) -> str:
         f"weighted local sum: {report['weighted_local_sum']:.4f}",
         f"gap: {report['gap']:.4f}",
         f"gap variance (theta1^2 + theta2^2): {report['gap_variance']:.6g}",
-        f"{int(round(report['level'] * 100))}% gap CI: "
+        f"{_level(report['level'])} gap CI: "
         f"[{report['gap_ci_lower']:.4f}, {report['gap_ci_upper']:.4f}]",
         f"recomposed global: {report['global_index']:.4f} in "
         f"[{report['recomposed_lower']:.4f}, {report['recomposed_upper']:.4f}]",
@@ -229,7 +234,7 @@ def _text_simulation(report: Mapping) -> str:
         f"mean statistic: {report['mean_statistic']:.6g}",
         f"variance of sqrt(n) deviations: {report['scaled_variance']:.6g}",
         f"mean plug-in variance: {report['mean_plugin_variance']:.6g}",
-        f"coverage at {int(round(report['level'] * 100))}%: {report['coverage']:.4f}",
+        f"coverage at {_level(report['level'])}: {report['coverage']:.4f}",
         f"KS statistic: {report['ks_statistic']:.4f} "
         f"(critical {report['ks_critical']:.4f}, "
         f"{'pass' if report['ks_pass'] else 'fail'})",
@@ -261,12 +266,29 @@ def _csv_rows(report: Mapping) -> list[dict]:
     raise DataFormatError(f"unknown report kind {kind!r}")
 
 
-def emit_report(report: Mapping, format: str = TEXT) -> bytes:
-    """Serialize a report mapping; deterministic for a given input."""
+def _replace_leaves(value, test, new):
+    """value with every leaf for which test holds replaced by new, through
+    nested dicts and lists."""
+    if isinstance(value, dict):
+        return {key: _replace_leaves(item, test, new) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_replace_leaves(item, test, new) for item in value]
+    return new if test(value) else value
+
+
+def emit_report(report: Mapping, format: str) -> bytes:
+    """Serialize a report mapping; deterministic for a given input.
+
+    JSON is strict (RFC 8259): a non-finite float is written as null.
+    """
     if format not in _FORMATS:
         raise DataFormatError(f"unknown format {format!r}; expected one of {_FORMATS}")
     if format == JSON:
-        return (json.dumps(report, sort_keys=True, indent=2) + "\n").encode("utf-8")
+        strict = _replace_leaves(
+            dict(report), lambda value: isinstance(value, float) and not math.isfinite(value),
+            None)
+        return (json.dumps(strict, sort_keys=True, indent=2, allow_nan=False)
+                + "\n").encode("utf-8")
     if format == CSV:
         rows = _csv_rows(report)
         buffer = _io.StringIO()
@@ -296,8 +318,9 @@ def read_json(path: str):
 
 
 def load_report(path: str) -> dict:
-    """Read back a JSON report written by emit_report."""
+    """Read back a JSON report written by emit_report; a null (a value
+    emit_report found undefined) reads as NaN."""
     report = read_json(path)
     if not isinstance(report, dict) or "kind" not in report:
         raise DataFormatError(f"{path}: not a report file (missing 'kind')")
-    return report
+    return _replace_leaves(report, lambda value: value is None, math.nan)

@@ -1,5 +1,5 @@
-"""Simulation engine: two-stage mixture sampling, replicate studies,
-a bootstrap variance oracle, and normality/coverage diagnostics.
+"""Simulation engine: two-stage mixture sampling, replicate studies, and
+normality/coverage diagnostics.
 
 A study's model is one AnalyticDistribution.  Its (weight, plain law)
 parts (AnalyticDistribution.parts; a plain law is its own one part) are
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple, Union
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -39,33 +39,14 @@ from .samples import IncomeSample, PovertyConfig, build_empirical, standardize
 TARGET_TAKAYAMA = "takayama"
 TARGET_GAP = "gap"
 
-# Elements per chunk of replicate or bootstrap rows.  2**17 raised the
-# replicate study's peak RSS by 16%; 2**14 kept it flat.
+# Elements per chunk of replicate rows.  2**17 raised the replicate
+# study's peak RSS by 16%; 2**14 kept it flat.
 CHUNK_ELEMENTS = 2 ** 14
 
 
 def _replicate_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed,
                                                         spawn_key=(index,)))
-
-
-def draw_mixture_sample(dist: AnalyticDistribution, n: int,
-                        seed: Union[int, np.random.Generator]) -> IncomeSample:
-    """n two-stage draws: pick a part of dist by weight, then invert its CDF.
-
-    Labels record the drawn part's index as a string.  Deterministic for
-    a given seed: one uniform vector selects parts, a second feeds their
-    quantile functions.
-    """
-    if n < 1:
-        raise ValueError(f"sample size must be at least 1, got {n}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    values, picks = _draw_rows(dist, n, [rng])
-    return IncomeSample(values[0], group_labels=_part_labels(dist)[picks[0]])
-
-
-def _part_labels(dist: AnalyticDistribution) -> np.ndarray:
-    return np.array([str(i) for i in range(len(dist.parts))], dtype=object)
 
 
 def _draw_rows(dist: AnalyticDistribution, n: int,
@@ -105,10 +86,6 @@ class ReplicateRecords:
     variances: np.ndarray    # plug-in variance per replicate (nan if skipped)
     ci_hits: np.ndarray      # True when the CI covered the population truth
     degenerate: np.ndarray   # True when the replicate was flagged, not dropped
-
-    @property
-    def replicate_count(self) -> int:
-        return int(self.values.size)
 
     def scaled_deviations(self, sample_size: int) -> np.ndarray:
         """sqrt(n) (statistic - truth) over the clean replicates."""
@@ -235,39 +212,6 @@ def _score_gap_rows(drawn: np.ndarray, picks: np.ndarray, config: PovertyConfig,
         except NumericalError:
             degenerate[i] = True
     return values, variances, degenerate
-
-
-def bootstrap_variance(sample: Union[IncomeSample, Sequence[float], np.ndarray],
-                       config: PovertyConfig, resamples: int,
-                       seed: int) -> float:
-    """n times the variance of the index over with-replacement resamples.
-
-    An estimator of the same limiting variance as the plug-in formula, kept
-    deliberately independent of it (pure resampling; no kernels).  Each
-    resample is one rng.integers(0, n, n) draw, in order; chunks of
-    resamples are sorted and scored by the row-wise index.
-    """
-    if resamples < 100:
-        raise ValueError(f"at least 100 bootstrap resamples required, got {resamples}")
-    if isinstance(sample, IncomeSample):
-        values = sample.scaled_values()
-    else:
-        values = IncomeSample(np.asarray(sample, dtype=float)).values
-    n = values.size
-    if n == 0:
-        raise ValueError("empty sample")
-    rng = np.random.default_rng(seed)
-    stats = np.empty(resamples)
-    rows = max(1, CHUNK_ELEMENTS // n)
-    for start in range(0, resamples, rows):
-        count = min(rows, resamples - start)
-        draws = np.sort(values[np.stack([rng.integers(0, n, n) for _ in range(count)])],
-                        axis=1)
-        means = draws.mean(axis=1)
-        if not means.all():
-            raise NumericalError("degenerate sample mean")
-        stats[start:start + count] = takayama_rows(draws, means, config)
-    return n * float(stats.var(ddof=1))
 
 
 @dataclass(frozen=True)

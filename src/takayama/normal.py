@@ -5,8 +5,8 @@ package: `ndtr` is 0.5 * erfc(-z / sqrt 2), accurate to a few ulp in both
 tails, and `ndtri` is Wichura's AS241 (PPND16), the rational approximation
 behind `statistics.NormalDist.inv_cdf`, relative error about 1e-16 on
 (1e-300, 1).  ndtri(0) = -inf and ndtri(1) = inf; arguments outside [0, 1]
-give NaN.  The scalar `normal_cdf` and `normal_quantile` are thin calls of
-the pair.  A bisection oracle is kept in the test suite.
+give NaN.  The scalar `normal_quantile` is a thin call of `ndtri`.  A
+bisection oracle is kept in the test suite.
 """
 from __future__ import annotations
 
@@ -99,11 +99,6 @@ def ndtri(p) -> np.ndarray:
         xt = np.where(low > 0.0, num / den, np.where(low == 0.0, math.inf, math.nan))
         x[sub] = np.copysign(xt, q[sub])
     return x
-
-
-def normal_cdf(x: float) -> float:
-    """Phi(x), via erfc for accuracy in both tails."""
-    return float(ndtr(x))
 
 
 def normal_quantile(p: float) -> float:

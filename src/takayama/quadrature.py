@@ -114,7 +114,7 @@ def _adaptive(fn: Callable, edges: np.ndarray, owner: np.ndarray, integrals: int
 
 
 def integrate(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-              settings: QuadratureSettings = DEFAULT_QUADRATURE,
+              settings: QuadratureSettings,
               breakpoints: Iterable[float] = ()):
     """Integrate fn over the finite interval [lo, hi] to the settings'
     tolerance.
@@ -135,7 +135,7 @@ def integrate(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
 
 
 def integrate_pieces(fn: Callable[[np.ndarray], np.ndarray], edges: np.ndarray,
-                     settings: QuadratureSettings = DEFAULT_QUADRATURE) -> np.ndarray:
+                     settings: QuadratureSettings) -> np.ndarray:
     """Integrals of fn over [edges[k], edges[k + 1]] for ascending edges.
 
     The error budget is shared by all pieces, so every partial sum of the

@@ -1,6 +1,6 @@
 """Every name a library module, script or test module imports is used in it,
-and the quadrature tolerance reaches the public functions only through
-PovertyConfig."""
+every public name has a reader outside the tests, and the quadrature
+tolerance reaches the public functions only through PovertyConfig."""
 import ast
 import dataclasses
 import inspect
@@ -43,6 +43,29 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def names_read(source: str) -> set:
+    """Identifiers a module reads: names, attributes and imported names."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.update(node.name.split("."))
+    return found
+
+
+def test_public_names_are_read_outside_tests():
+    # fgt_index is the documented, exactly decomposable comparator; code
+    # that only cross-checks belongs in tests/_oracles.py.
+    callers = [*(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py"),
+               *(p for p in (ROOT / "src" / "takayama").glob("*.py")
+                 if p.name != "__init__.py")]
+    read = set().union(*(names_read(p.read_text(encoding="utf-8")) for p in callers))
+    assert set(takayama.__all__) - read == {"fgt_index"}
 
 
 def test_quadrature_travels_in_the_poverty_config():

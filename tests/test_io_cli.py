@@ -537,6 +537,64 @@ def test_cli_output_file_and_report_rerender(survey_csv, tmp_path, capsys):
     assert "Takayama index report" in capsys.readouterr().out
 
 
+_LIVE_COMMANDS = {
+    "index": ["index", "--input", "{survey}", "--poverty-line", "4.5"],
+    "decompose": ["decompose", "--input", "{survey}", "--poverty-line", "4.5",
+                  "--group-column", "region"],
+    # 20 replicates are too few for the KS test: its fields are undefined.
+    "simulate": ["simulate", "--model", "uniform:0,1", "--z", "1", "--n", "100",
+                 "--reps", "20", "--seed", "3"],
+}
+
+
+@pytest.mark.parametrize("fmt", [TEXT, CSV])
+@pytest.mark.parametrize("command", sorted(_LIVE_COMMANDS))
+def test_cli_report_rerenders_what_the_live_run_printed(command, fmt, survey_csv,
+                                                        tmp_path, capsys):
+    argv = [arg.format(survey=survey_csv) for arg in _LIVE_COMMANDS[command]]
+    saved = tmp_path / "saved.json"
+    assert cli_dispatch(argv + ["--format", "json", "--output", str(saved)]) == 0
+    assert cli_dispatch(argv + ["--format", fmt]) == 0
+    live = capsys.readouterr().out
+    assert cli_dispatch(["report", "--input", str(saved), "--format", fmt]) == 0
+    assert capsys.readouterr().out == live
+
+
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not valid JSON")
+
+
+def test_cli_simulate_json_writes_undefined_values_as_null(tmp_path, capsys):
+    assert cli_dispatch(_LIVE_COMMANDS["simulate"] + ["--format", "json"]) == 0
+    printed = capsys.readouterr().out
+    report = json.loads(printed, parse_constant=_refuse_constant)
+    assert report["ks_statistic"] is None and report["ks_critical"] is None
+    assert None not in report["values"]
+
+    # A report written before nulls, with NaN tokens, still loads.
+    old = tmp_path / "old.json"
+    old.write_text(printed.replace("null", "NaN"), encoding="utf-8")
+    assert cli_dispatch(["report", "--input", str(old)]) == 0
+    assert "KS statistic: nan (critical nan, fail)" in capsys.readouterr().out
+
+
+def test_emit_json_writes_degenerate_values_as_null():
+    report = {"kind": "simulation", "values": [0.5, float("nan")],
+              "variances": [float("inf"), float("-inf")]}
+    loaded = json.loads(emit_report(report, JSON), parse_constant=_refuse_constant)
+    assert loaded == {"kind": "simulation", "values": [0.5, None], "variances": [None, None]}
+
+
+@pytest.mark.parametrize("level,percent", [("0.95", "95%"), ("0.975", "97.5%"),
+                                           ("0.999", "99.9%")])
+def test_text_reports_print_the_confidence_level_unrounded(level, percent, survey_csv,
+                                                           capsys):
+    for command, label in (("index", "CI"), ("decompose", "gap CI")):
+        argv = [arg.format(survey=survey_csv) for arg in _LIVE_COMMANDS[command]]
+        assert cli_dispatch(argv + ["--confidence-level", level]) == 0
+        assert f"\n{percent} {label}: " in capsys.readouterr().out
+
+
 def test_cli_report_reads_a_report_with_a_byte_order_mark(survey_csv, tmp_path, capsys):
     out_path = tmp_path / "report.json"
     assert cli_dispatch(["index", "--input", survey_csv, "--poverty-line", "4.5",

@@ -5,7 +5,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from takayama import lognormal, normal_cdf, normal_quantile
+from takayama import lognormal, normal_quantile
 from takayama.normal import ndtr, ndtri
 
 INV_CDF = NormalDist().inv_cdf
@@ -63,7 +63,7 @@ def test_normal_pair_keeps_shape(fn, shape):
 
 def test_scalar_calls_read_the_array_pair():
     assert normal_quantile(0.975) == float(ndtri(0.975))
-    assert normal_cdf(-1.5) == float(ndtr(-1.5)) == 0.5 * math.erfc(1.5 / math.sqrt(2.0))
+    assert float(ndtr(-1.5)) == 0.5 * math.erfc(1.5 / math.sqrt(2.0))
 
 
 @pytest.mark.parametrize("z", [-6.0, -8.0, -10.0])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from takayama import QuadratureError, QuadratureSettings, integrate
+from takayama import DEFAULT_QUADRATURE, QuadratureError, QuadratureSettings, integrate
 from takayama.quadrature import integrate_pieces
 
 
@@ -20,21 +20,22 @@ def test_settings_refuse_a_tolerance_that_is_not_positive_and_finite(tol):
 
 
 def test_step_with_its_breakpoint_is_exact():
-    value = integrate(lambda u: np.where(u < 0.3, 1.0, 3.0), 0.0, 1.0,
+    value = integrate(lambda u: np.where(u < 0.3, 1.0, 3.0), 0.0, 1.0, DEFAULT_QUADRATURE,
                       breakpoints=[0.3, 1.5])
     assert abs(value - (0.3 + 3.0 * 0.7)) <= 1e-14
 
 
 def test_constant_integrand_broadcasts():
-    assert integrate(lambda u: 1.0, 0.0, 2.5) == pytest.approx(2.5, abs=1e-14)
+    assert integrate(lambda u: 1.0, 0.0, 2.5, DEFAULT_QUADRATURE) == pytest.approx(2.5, abs=1e-14)
 
 
 def test_empty_interval_is_zero():
-    assert integrate(np.exp, 1.0, 1.0) == 0.0
+    assert integrate(np.exp, 1.0, 1.0, DEFAULT_QUADRATURE) == 0.0
 
 
 def test_leading_axes_share_one_subdivision():
-    values = integrate(lambda u: np.stack([u, u * u, np.sin(u)]), 0.0, 1.0)
+    values = integrate(lambda u: np.stack([u, u * u, np.sin(u)]), 0.0, 1.0,
+                       DEFAULT_QUADRATURE)
     assert values == pytest.approx([0.5, 1.0 / 3.0, 1.0 - math.cos(1.0)], abs=1e-14)
 
 
@@ -45,7 +46,7 @@ def test_endpoint_singularity_meets_tolerance():
 
 def test_non_finite_integrand_raises():
     with pytest.raises(QuadratureError, match="not finite"):
-        integrate(lambda u: np.where(u > 0.5, np.nan, 1.0), 0.0, 1.0)
+        integrate(lambda u: np.where(u > 0.5, np.nan, 1.0), 0.0, 1.0, DEFAULT_QUADRATURE)
 
 
 def test_pieces_sum_to_an_antiderivative():
