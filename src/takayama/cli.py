@@ -6,20 +6,22 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import fields, replace
 from typing import Optional, Sequence
 
+# Set before numpy loads: no BLAS call here is large enough to gain from a thread pool.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from .asymptotics import confidence_interval, sigma_plugin
-from .decomposition import decomposability_gap, gap_variance, partition, recompose_interval
 from .distributions import parse_mixture
 from .errors import DataFormatError, NumericalError
 from .indices import takayama_empirical
 from .io import (CSV, JSON, TEXT, RunConfig, emit_report, ingest_csv, load_report,
                  read_json)
-from .montecarlo import ReplicateStudy, ks_normality, run_replicates
 from .quadrature import QuadratureSettings
 from .samples import build_empirical
 
@@ -125,6 +127,9 @@ def _index_report(args: argparse.Namespace, run: RunConfig) -> dict:
 
 
 def _decompose_report(args: argparse.Namespace, run: RunConfig) -> dict:
+    from .decomposition import (decomposability_gap, gap_variance, partition,
+                                recompose_interval)
+
     if run.group_column is None:
         raise UsageError("decompose requires --group-column")
     config = run.poverty()
@@ -160,6 +165,8 @@ def _decompose_report(args: argparse.Namespace, run: RunConfig) -> dict:
 
 
 def _simulate_report(args: argparse.Namespace, run: RunConfig) -> dict:
+    from .montecarlo import ReplicateStudy, ks_normality, run_replicates
+
     model = parse_mixture(args.model, args.weights)
     config = replace(run.poverty(), quadrature=QuadratureSettings(run.quad_tol))
     study = ReplicateStudy(model, run.sample_size, run.replicates, run.seed, config)

@@ -226,7 +226,8 @@ def ks_normality(values: Sequence[float] | np.ndarray) -> KsNormalityResult:
     standard normal at level 0.01, with the asymptotic critical value.
 
     Values are standardized by their own mean and standard deviation first;
-    a zero standard deviation fails the test outright.
+    a zero standard deviation leaves the statistic undefined (NaN) and fails
+    the test outright.
     """
     arr = np.asarray(values, dtype=float)
     n = arr.size
@@ -236,7 +237,7 @@ def ks_normality(values: Sequence[float] | np.ndarray) -> KsNormalityResult:
     try:
         z = np.sort(standardize(arr))
     except NumericalError:
-        return KsNormalityResult(math.inf, False, critical)
+        return KsNormalityResult(math.nan, False, critical)
     phi = ndtr(z)
     i = np.arange(1, n + 1)
     statistic = float(np.max(np.maximum(i / n - phi, phi - (i - 1) / n)))

@@ -11,10 +11,9 @@ import pytest
 import takayama
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted(p for p in [*(ROOT / "src" / "takayama").glob("*.py"),
-                             *(ROOT / "scripts").glob("*.py"),
-                             *(ROOT / "tests").glob("*.py")]
-                 if p.name != "__init__.py")  # the package re-exports its API
+SOURCES = sorted([*(ROOT / "src" / "takayama").glob("*.py"),
+                  *(ROOT / "scripts").glob("*.py"),
+                  *(ROOT / "tests").glob("*.py")])
 
 
 def unused_imports(source: str) -> list:

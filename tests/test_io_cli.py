@@ -544,6 +544,9 @@ _LIVE_COMMANDS = {
     # 20 replicates are too few for the KS test: its fields are undefined.
     "simulate": ["simulate", "--model", "uniform:0,1", "--z", "1", "--n", "100",
                  "--reps", "20", "--seed", "3"],
+    # Every income is above the line, so every deviation is 0: KS is undefined.
+    "simulate_degenerate": ["simulate", "--model", "uniform:2,3", "--z", "1", "--n", "50",
+                            "--reps", "100", "--seed", "1"],
 }
 
 
@@ -652,17 +655,19 @@ def test_cli_simulate_refuses_infinite_variance_model(capsys):
 # scipy stays unloaded on the library's paths
 
 
-def _scipy_modules_after(code):
-    """Run code in a fresh interpreter; return the scipy modules it loaded."""
-    probe = code + ("\nimport sys\n"
-                    "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+def _modules_after(code, prefix):
+    """Run code in a fresh interpreter; return the modules it loaded whose
+    names start with prefix."""
+    probe = code + ("\nimport json, sys\n"
+                    "print(json.dumps(sorted(m for m in sys.modules\n"
+                    f"                       if m.startswith({prefix!r}))))\n")
     done = subprocess.run([sys.executable, "-c", probe], env=_source_env(),
                           capture_output=True, text=True, timeout=120, check=True)
-    return done.stdout.strip().splitlines()[-1]
+    return json.loads(done.stdout.strip().splitlines()[-1])
 
 
 def test_import_cli_loads_no_scipy():
-    assert _scipy_modules_after("import takayama.cli") == "[]"
+    assert _modules_after("import takayama.cli", "scipy") == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -673,7 +678,7 @@ def test_cli_empirical_commands_load_no_scipy(argv, survey_csv, tmp_path):
     argv = argv + ["--input", survey_csv, "--output", str(tmp_path / "report.txt")]
     code = ("from takayama.cli import cli_dispatch\n"
             f"assert cli_dispatch({argv!r}) == 0\n")
-    assert _scipy_modules_after(code) == "[]"
+    assert _modules_after(code, "scipy") == []
     assert "report" in (tmp_path / "report.txt").read_text(encoding="utf-8")
 
 
@@ -684,7 +689,7 @@ def test_cli_simulate_loads_no_scipy_solvers(target, tmp_path):
             "--output", str(tmp_path / "report.txt")]
     code = ("from takayama.cli import cli_dispatch\n"
             f"assert cli_dispatch({argv!r}) == 0\n")
-    assert _scipy_modules_after(code) == "[]"
+    assert _modules_after(code, "scipy") == []
 
 
 def test_population_functionals_load_no_scipy_solvers():
@@ -699,7 +704,7 @@ def test_population_functionals_load_no_scipy_solvers():
             "part = analytic_partition(list(zip('abcd', laws, [0.25] * 4)))\n"
             "decomposability_gap(part, cfg)\n"
             "gap_variance(part, cfg)\n")
-    assert _scipy_modules_after(code) == "[]"
+    assert _modules_after(code, "scipy") == []
 
 
 def test_runtime_runs_with_scipy_blocked(survey_csv, tmp_path):
@@ -727,4 +732,50 @@ def test_runtime_runs_with_scipy_blocked(survey_csv, tmp_path):
             "draws = np.random.default_rng(1).random((4, 50))\n"
             "assert np.isfinite(representation_residual(draws, uniform(0, 1),\n"
             "                                           PovertyConfig(1.0))).all()\n")
-    assert _scipy_modules_after(code) == "[]"
+    assert _modules_after(code, "scipy") == []
+
+
+# ---------------------------------------------------------------------------
+# the package loads its layers on first use; the CLI picks one BLAS thread
+
+
+def test_import_takayama_loads_no_numpy():
+    assert _modules_after("import takayama", "numpy") == []
+
+
+def test_package_names_resolve_on_first_use():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        takayama.no_such_name
+    assert len(takayama.__all__) == 47
+    assert set(takayama.__all__) <= set(dir(takayama))
+    assert takayama.PovertyConfig is takayama.samples.PovertyConfig
+
+
+@pytest.mark.parametrize("user_setting,threads", [(None, "1"), ("2", "2")])
+def test_import_cli_defaults_openblas_to_one_thread(user_setting, threads):
+    env = _source_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if user_setting is not None:
+        env["OPENBLAS_NUM_THREADS"] = user_setting
+    code = ("import os\n"
+            "import takayama.cli\n"
+            "tasks = '/proc/self/task'\n"
+            "print(os.environ['OPENBLAS_NUM_THREADS'],\n"
+            "      len(os.listdir(tasks)) if os.path.isdir(tasks) else 1)\n")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    setting, os_threads = done.stdout.split()
+    assert setting == threads
+    if user_setting is None:
+        # numpy loaded after the default was set: no BLAS thread pool started.
+        assert os_threads == "1"
+
+
+def test_cli_index_loads_no_decomposition_or_replicate_layer(survey_csv, tmp_path):
+    argv = ["index", "--poverty-line", "4.5", "--input", survey_csv,
+            "--output", str(tmp_path / "report.txt")]
+    code = ("from takayama.cli import cli_dispatch\n"
+            f"assert cli_dispatch({argv!r}) == 0\n")
+    loaded = _modules_after(code, "takayama.")
+    assert "takayama.io" in loaded
+    assert "takayama.decomposition" not in loaded and "takayama.montecarlo" not in loaded
